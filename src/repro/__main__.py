@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro critique ONTONOMY.tbox [--contrast OTHER.tbox] [--regress TERM] [--stats]
-    python -m repro classify ONTONOMY.tbox [--budget-nodes N] [--budget-ms MS] [--escalate] [--stats] [--profile] [--incremental-from STORE]
+    python -m repro classify ONTONOMY.tbox [--budget-nodes N] [--budget-ms MS] [--escalate] [--stats] [--profile]
     python -m repro check ONTONOMY.tbox
     python -m repro bench [--out DIR] [--only B1 ...]
     python -m repro serve [--tbox FILE] [--port N] [--abox-backend sqlite --abox-db PATH] ...
@@ -140,39 +140,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     budget = None
     if args.budget_nodes is not None or args.budget_ms is not None:
         budget = Budget(max_nodes=args.budget_nodes, max_ms=args.budget_ms)
-    if args.incremental_from and args.algorithm not in ("auto", "enhanced"):
-        print("--incremental-from requires --algorithm auto/enhanced", file=sys.stderr)
-        return EXIT_USAGE
     context, recorder = _recording(args)
     with context:
-        if args.incremental_from:
-            # classify the predecessor store, then pay only the delta
-            old_hierarchy = Reasoner(_load(args.incremental_from)).classify()
-            reasoner = Reasoner(tbox)
-            result = reasoner.reclassify(old_hierarchy, budget=budget)
-            hierarchy = result.hierarchy
-            rounds = 0
-            while (
-                args.escalate
-                and budget is not None
-                and hierarchy.incomplete
-                and rounds < DEFAULT_MAX_ROUNDS
-            ):
-                rounds += 1
-                budget = budget.escalated()
-                result = reasoner.reclassify(old_hierarchy, budget=budget)
-                hierarchy = result.hierarchy
-            summary = (
-                f"reclassified {Path(args.tbox).name} from "
-                f"{Path(args.incremental_from).name}: mode={result.mode}, "
-                f"affected={len(result.affected)}, "
-                f"reused_edges={result.reused_edges}, "
-                f"cache_carryover={result.cache_carryover}"
-            )
-            if result.fallback_reason:
-                summary += f" ({result.fallback_reason})"
-            print(summary, file=sys.stderr)
-        elif budget is None:
+        if budget is None:
             hierarchy = classify(tbox, algorithm=args.algorithm)
         else:
             # one reasoner across escalation rounds: definite answers are
@@ -304,8 +274,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         node_allowance=args.node_allowance,
         ms_allowance=args.ms_allowance,
         tbox_store=args.tbox_store,
-        incremental_swap=not args.no_incremental_swap,
-        incremental_threshold=args.incremental_threshold,
         edit_log=args.edit_log,
         min_swap_interval_ms=args.min_swap_interval_ms,
         rebase_limit=args.rebase_limit,
@@ -434,13 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"escalated budgets (up to {DEFAULT_MAX_ROUNDS} rounds)",
     )
     p_classify.add_argument(
-        "--incremental-from",
-        metavar="STORE",
-        help="predecessor TBox file: classify it, then reclassify TBOX "
-        "incrementally from the delta (see README 'Incremental "
-        "reclassification'); requires the enhanced algorithm",
-    )
-    p_classify.add_argument(
         "--stats",
         action="store_true",
         help="print the obs counter snapshot after the hierarchy",
@@ -467,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="ID",
         choices=[
-            "B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B10",
+            "B1", "B2", "B3", "B4", "B5", "B6", "B7", "B9", "B10",
             "B11", "B12", "B13",
         ],
         help="run only this bench (repeatable)",
@@ -542,20 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tbox-store",
         metavar="PATH",
         help="persist hot-swapped TBoxes crash-safely to this file",
-    )
-    p_serve.add_argument(
-        "--no-incremental-swap",
-        action="store_true",
-        help="always fully re-classify on POST /v1/tbox instead of "
-        "reclassifying incrementally from the serving snapshot",
-    )
-    p_serve.add_argument(
-        "--incremental-threshold",
-        type=float,
-        default=0.5,
-        metavar="F",
-        help="fall back to full classification when more than this "
-        "fraction of concepts is affected by a swap (default: 0.5)",
     )
     p_serve.add_argument(
         "--edit-log",

@@ -25,14 +25,14 @@ for the seeded inputs (two runs differ only in ``wall_time_s`` and timer
 values); the test suite asserts exactly that, so any nondeterminism
 introduced into a hot path is caught here.  The exceptions are B7, B9,
 and B11, which measure live servers (see :class:`BenchSpec.deterministic`).
-B8's default edit-stream scale is controlled by ``REPRO_B8_SCALE``
-(``tiny`` / ``small`` / ``full``) so CI smoke runs stay cheap while the
-committed record measures the full stream; B9 — the B7/B8 fusion into
-mixed edit+query traffic with a durable edit log and a kill-and-recover
-scenario — follows the same pattern via ``REPRO_B9_SCALE``, as does
-B10 — saturation vs enhanced classification — via ``REPRO_B10_SCALE``,
-and B12 — the DB-backed instance store at 10⁵–10⁶ individuals — via
-``REPRO_B12_SCALE``.
+B9 — mixed edit+query traffic with a durable edit log and a
+kill-and-recover scenario — takes its scale (``tiny`` / ``small`` /
+``full``) from ``REPRO_B9_SCALE`` so CI smoke runs stay cheap while the
+committed record measures the full stream, as does B10 — saturation vs
+enhanced classification — via ``REPRO_B10_SCALE``, and B12 — the
+DB-backed instance store at 10⁵–10⁶ individuals — via
+``REPRO_B12_SCALE``.  There is no B8: it measured a seeded swap path
+that has since been deleted.
 
 The pytest benches under ``benchmarks/`` still measure *time* with
 pytest-benchmark statistics; this harness complements them with *work*
@@ -458,131 +458,6 @@ def _b7_serve() -> dict[str, Any]:
     }
 
 
-#: B8 edit-stream scales: (n_defined, n_primitive, edits, full-baseline
-#: sampling stride, acceptance floor on the tableau-test reduction).
-#: ``tiny`` is the CI smoke scale — a ~30-name TBox leaves little room
-#: between a few affected names and the whole vocabulary, so it only has
-#: to beat 2× — ``small`` keeps the test suite fast, ``full`` is what
-#: the committed BENCH_B8.json measures (a ~200-name TBox, 50 edits, ≥5×).
-B8_SCALES: dict[str, tuple[int, int, int, int, int]] = {
-    "tiny": (20, 8, 4, 2, 2),
-    "small": (40, 12, 10, 3, 5),
-    "full": (150, 50, 50, 10, 5),
-}
-
-
-def _b8_incremental() -> dict[str, Any]:
-    """Incremental vs full reclassification over a stream of TBox edits.
-
-    One seeded TBox evolves through a chain of random definitorial edits
-    (:func:`repro.corpora.generators.random_tbox_edit`).  Every edit is
-    absorbed by the delta-driven incremental path
-    (:func:`repro.dl.incremental.reclassify`); every Nth edit the same
-    successor TBox is *also* classified from scratch as the baseline, and
-    the two hierarchies are asserted identical (the correctness oracle).
-
-    The acceptance invariant (asserted here and re-checked from the
-    committed record): the incremental path pays **≥ 5×** fewer tableau
-    tests per swap than full classification.  Per-swap distributions land
-    in the ``histograms`` section (``bench.b8.incremental_swap_ms``,
-    ``bench.b8.tableau_tests_per_swap``, ``bench.b8.full_swap_ms``).
-    """
-    import os
-    import random as _random
-
-    from ..corpora.generators import random_tbox, random_tbox_edit
-    from ..dl import ConceptHierarchy, Reasoner
-    from ..obs import Recorder, get_recorder, use_recorder
-
-    scale = os.environ.get("REPRO_B8_SCALE", "small")
-    if scale not in B8_SCALES:
-        raise ValueError(
-            f"REPRO_B8_SCALE={scale!r}; expected one of {sorted(B8_SCALES)}"
-        )
-    n_defined, n_primitive, n_edits, sample_every, min_reduction = B8_SCALES[scale]
-
-    recorder = get_recorder()
-    tbox = random_tbox(0, n_defined=n_defined, n_primitive=n_primitive, n_roles=3)
-    boot = Recorder()
-    with use_recorder(boot):
-        hierarchy = Reasoner(tbox).classify()
-    recorder.merge(boot)
-    boot_tests = boot.counters.get("tableau.solve_calls", 0)
-
-    rng = _random.Random(1234)
-    incremental_tests = full_tests = 0
-    incremental_modes: dict[str, int] = {}
-    full_samples = 0
-    for edit in range(n_edits):
-        successor = random_tbox_edit(rng, tbox)
-
-        swap = Recorder()
-        t0 = time.perf_counter()
-        with use_recorder(swap):
-            result = Reasoner(successor).reclassify(hierarchy)
-        swap_ms = (time.perf_counter() - t0) * 1000.0
-        recorder.merge(swap)
-        tests = swap.counters.get("tableau.solve_calls", 0)
-        incremental_tests += tests
-        incremental_modes[result.mode] = incremental_modes.get(result.mode, 0) + 1
-        recorder.observe("bench.b8.incremental_swap_ms", swap_ms)
-        recorder.observe("bench.b8.tableau_tests_per_swap", tests)
-
-        if edit % sample_every == 0:
-            baseline = Recorder()
-            t0 = time.perf_counter()
-            with use_recorder(baseline):
-                full_hierarchy = ConceptHierarchy(successor)
-            full_ms = (time.perf_counter() - t0) * 1000.0
-            full_tests += baseline.counters.get("tableau.solve_calls", 0)
-            full_samples += 1
-            recorder.observe("bench.b8.full_swap_ms", full_ms)
-            # the correctness oracle: the incremental hierarchy IS the
-            # full hierarchy, group for group and edge for edge
-            assert result.hierarchy.groups() == full_hierarchy.groups()
-            for group in full_hierarchy.groups():
-                rep = sorted(group)[0]
-                assert result.hierarchy.parents(rep) == full_hierarchy.parents(rep)
-
-        tbox, hierarchy = successor, result.hierarchy
-
-    mean_incremental = incremental_tests / n_edits
-    mean_full = full_tests / max(1, full_samples)
-    recorder.incr("bench.b8.edits", n_edits)
-    recorder.incr("bench.b8.boot_tableau_tests", boot_tests)
-    recorder.incr("bench.b8.incremental_tableau_tests", incremental_tests)
-    recorder.incr("bench.b8.full_tableau_tests", full_tests)
-    recorder.incr("bench.b8.full_baseline_samples", full_samples)
-    # the acceptance criterion: per swap, the incremental path pays >= 5x
-    # fewer tableau tests than classifying the successor from scratch
-    # (relaxed to the scale's floor at the tiny CI-smoke size)
-    assert mean_incremental * min_reduction <= mean_full, (
-        mean_incremental,
-        mean_full,
-        min_reduction,
-    )
-    return {
-        "scale": scale,
-        "tbox": {
-            "seed": 0,
-            "n_defined": n_defined,
-            "n_primitive": n_primitive,
-            "n_roles": 3,
-        },
-        "edit_seed": 1234,
-        "edits": n_edits,
-        "full_baseline_every": sample_every,
-        "full_baseline_samples": full_samples,
-        "boot_tableau_tests": boot_tests,
-        "incremental_modes": incremental_modes,
-        "mean_tableau_tests_per_swap": {
-            "incremental": mean_incremental,
-            "full": mean_full,
-        },
-        "tableau_test_reduction": mean_full / max(1.0, mean_incremental),
-    }
-
-
 #: B9 mixed edit+query scales: (n_defined, n_primitive, queries, edits,
 #: query concurrency, edit interval s, swap throttle ms, p99 factor).
 #: The acceptance factor — mixed-traffic query p99 within ``factor`` ×
@@ -602,7 +477,7 @@ B9_SCALES: dict[str, tuple[int, int, int, int, int, float, float, float]] = {
 def _b9_mixed() -> dict[str, Any]:
     """Closed-loop mixed edit+query traffic, plus kill-and-recover.
 
-    The B7/B8 fusion over one live server (:mod:`repro.serve`) in three
+    Serving (B7) fused with a TBox edit stream over one live server (:mod:`repro.serve`) in three
     phases:
 
     1. **pure-query baseline** — the closed-loop query workload alone,
@@ -622,7 +497,7 @@ def _b9_mixed() -> dict[str, Any]:
        *acknowledged* version and serves exactly the hierarchy of the
        last acknowledged TBox: zero lost acknowledged edits.
 
-    Scale via ``REPRO_B9_SCALE`` (``tiny``/``small``/``full``), like B8.
+    Scale via ``REPRO_B9_SCALE`` (``tiny``/``small``/``full``).
     """
     import os
     import random as _random
@@ -925,7 +800,7 @@ def _b10_saturation() -> dict[str, Any]:
     B1-scale workload with **≥ 5×** fewer tableau tests — at full scale
     also ≥ 5× less wall-clock (``bench.b10.*_classify_ms`` histograms).
 
-    Scale via ``REPRO_B10_SCALE`` (``tiny``/``full``), like B8/B9.
+    Scale via ``REPRO_B10_SCALE`` (``tiny``/``full``), like B9.
     """
     import os
 
@@ -1020,7 +895,7 @@ def _b11_failover() -> dict[str, Any]:
 
     1. **steady mixed traffic** — a paced edit stream acks against the
        primary while closed-loop readers hammer the follower; the
-       follower replicates each sealed record through the incremental
+       follower replicates each sealed record through the snapshot swap
        publication path (reads stay on warm snapshots throughout);
     2. **kill -9 mid-traffic** — once the follower reports zero lag,
        the primary dies with no flush and no goodbye, readers still
@@ -1673,12 +1548,11 @@ def _b13_workers() -> dict[str, Any]:
                         (time.perf_counter() - t1) * 1000.0
                     )
                     # aggregated metrics must merge every worker's
-                    # recorder: each applied the shipped delta once
+                    # recorder: the front and each worker swapped once
                     _status, metrics = server.request("GET", "/v1/metrics")
                     counters = metrics["metrics"]["counters"]
-                    assert counters.get("serve.delta_swaps", 0) >= workers, (
-                        workers, counters.get("serve.delta_swaps"),
-                    )
+                    swaps = counters.get("serve.tbox_swaps", 0)
+                    assert swaps >= workers + 1, (workers, swaps)
                 else:
                     propagation_ms = swap_ack_ms
                 key = str(workers)
@@ -1821,11 +1695,6 @@ BENCHES: dict[str, BenchSpec] = {
         "batched serving throughput/latency vs one-shot reasoning calls",
         _b7_serve,
         deterministic=False,
-    ),
-    "B8": BenchSpec(
-        "B8",
-        "incremental vs full reclassification over a TBox edit stream",
-        _b8_incremental,
     ),
     "B9": BenchSpec(
         "B9",

@@ -62,8 +62,8 @@ def random_tbox_edit(rng: random.Random, tbox: TBox) -> TBox:
     """One random definitorial edit of ``tbox`` (for evolution workloads).
 
     Redefines an existing defined name (p=0.6), adds a fresh definition
-    (p=0.25), or removes one (p=0.15) — the swap stream bench B8 and the
-    incremental-reclassification property tests replay chains of these.
+    (p=0.25), or removes one (p=0.15) — the hot-swap property tests and
+    the edit-mix serving benchmark replay chains of these.
     Acyclicity is preserved exactly: an atomic conjunct ``B`` is only
     allowed in the new definition of ``A`` when ``A`` is not reachable
     from ``B`` in the current dependency graph.  Deterministic given the

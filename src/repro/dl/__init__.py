@@ -9,7 +9,7 @@ from .bisimulation import (
     bisimulation_classes,
     is_alc_concept,
 )
-from .diff import AxiomDelta, TBoxDiff, axiom_diff, tbox_diff
+from .diff import AxiomDelta, TBoxDiff, axiom_diff, change_impact, tbox_diff
 from .defgraph import (
     DefGraphError,
     anonymized_meaning,
@@ -25,10 +25,8 @@ from .hierarchy import (
     BOTTOM_NAME,
     TOP_NAME,
     ConceptHierarchy,
-    HierarchySeed,
     classify,
 )
-from .incremental import ReclassifyResult, reclassify
 from .intern import BOTTOM_ID, TOP_ID, BitSet, ConceptTable, InternTable
 from .interpretation import Interpretation
 from .nnf import is_nnf, negate, to_nnf
@@ -69,9 +67,9 @@ __all__ = [
     "BitSet", "InternTable", "ConceptTable", "TOP_ID", "BOTTOM_ID",
     "Saturation",
     "are_bisimilar", "bisimulation_classes", "is_alc_concept",
-    "tbox_diff", "TBoxDiff", "axiom_diff", "AxiomDelta",
+    "tbox_diff", "TBoxDiff", "axiom_diff", "AxiomDelta", "change_impact",
     "ConceptHierarchy", "classify", "TOP_NAME", "BOTTOM_NAME",
-    "HierarchySeed", "reclassify", "ReclassifyResult", "dependents_of",
+    "dependents_of",
     "parse_concept", "parse_axiom", "parse_tbox", "ParseError",
     "to_text", "tbox_to_text",
     "definition_graph", "structural_meaning", "anonymized_meaning",

@@ -123,9 +123,9 @@ def dependents_of(names: Iterable[str], *tboxes: TBox) -> frozenset[str]:
     graphs (:meth:`repro.dl.tbox.TBox.dependency_graph`): the result
     contains every name from which some seed is reachable, including the
     seeds themselves when they occur in any of the TBoxes.  This is the
-    change-impact set incremental reclassification re-inserts — a name
-    outside it cannot see an edited definition through any chain of
-    definitional references.
+    core of an edit's change-impact set
+    (:func:`repro.dl.diff.change_impact`) — a name outside it cannot see
+    an edited definition through any chain of definitional references.
     """
     predecessors: dict[str, set[str]] = {}
     vocabulary: set[str] = set()

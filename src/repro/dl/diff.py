@@ -4,8 +4,10 @@ When an ontonomy is revised — the paper's repair (9)–(11), or any
 downstream edit — two deltas matter at two different price points.
 ``axiom_diff`` is the cheap syntactic one: which axioms were added or
 removed, which names gained or lost a definition, whether any general
-(non-definitorial) axiom moved.  It costs one set comparison and is the
-input that drives :mod:`repro.dl.incremental` reclassification.
+(non-definitorial) axiom moved.  It costs one set comparison;
+``change_impact`` turns it into the set of names whose meaning the edit
+can move, which a hot swap uses to carry still-valid reasoner cache
+entries over to the successor (:mod:`repro.serve.snapshot`).
 ``tbox_diff`` is the expensive semantic one: it classifies, for the
 shared atomic names, every subsumption pair as kept, gained, or lost,
 and reports vocabulary changes separately.
@@ -14,7 +16,9 @@ and reports vocabulary changes separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
+from .defgraph import dependents_of
 from .reasoner import Reasoner
 from .syntax import Atomic
 from .tbox import Axiom, Equivalence, TBox
@@ -29,8 +33,8 @@ class AxiomDelta:
     for an atomic-atomic equivalence).  ``general_changed`` flags any
     added/removed axiom that is not definitorial — a non-atomic
     left-hand side, or an equivalence whose reverse half is a general
-    GCI — after which no locality argument holds and incremental
-    reclassification must fall back to a full run.
+    GCI — after which no locality argument holds (see
+    :func:`change_impact`).
     """
 
     added: frozenset[Axiom]
@@ -89,6 +93,33 @@ def axiom_diff(before: TBox, after: TBox) -> AxiomDelta:
         changed_names=frozenset(changed),
         general_changed=general_changed,
     )
+
+
+def change_impact(before: TBox, after: TBox) -> Optional[frozenset[str]]:
+    """The names whose meaning the edit ``before`` → ``after`` can move.
+
+    Every name whose definition transitively mentions an edited name
+    (:func:`repro.dl.defgraph.dependents_of`), plus the added
+    vocabulary; empty when the two axiom sets are equal.  A concept
+    built only from names outside the set unfolds to the same
+    definitional web in both TBoxes, so every subsumption and
+    satisfiability answer about it stands.  ``None`` when no locality
+    argument holds: a general (non-definitorial) axiom changed, or an
+    unchanged general axiom's vocabulary reaches the set — a general
+    GCI fires at every individual, so once its trigger or consequence
+    concepts shift meaning the blast radius is global.
+    """
+    delta = axiom_diff(before, after)
+    if delta.general_changed:
+        return None
+    if delta.unchanged:
+        return frozenset()
+    impact = dependents_of(delta.changed_names, before, after) | delta.names_added
+    for tbox in (before, after):
+        for gci in tbox.general_gcis():
+            if (gci.lhs.atomic_names() | gci.rhs.atomic_names()) & impact:
+                return None
+    return impact
 
 
 @dataclass(frozen=True)

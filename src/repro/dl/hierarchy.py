@@ -7,7 +7,8 @@ Four algorithms are available:
 
 ``algorithm="auto"`` (the default) resolves to ``"saturation"`` when the
 TBox normalizes entirely into the Horn/EL fragment and the run is not
-budget-governed or seeded, and to ``"enhanced"`` otherwise.
+budget-governed, and to ``"enhanced"`` otherwise
+(:meth:`repro.dl.reasoner.Reasoner.resolve_algorithm`).
 
 ``algorithm="saturation"`` classifies from the consequence-based
 completion of :mod:`repro.dl.saturation`.  With an empty non-Horn
@@ -41,7 +42,6 @@ unsatisfiable names join ⊥'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..obs import recorder as _obs
@@ -61,32 +61,6 @@ BOTTOM_NAME = "⊥"
 _ALGORITHMS = ("auto", "enhanced", "brute", "saturation")
 
 
-@dataclass
-class HierarchySeed:
-    """Pre-positioned structure for incremental (re)classification.
-
-    Produced by :mod:`repro.dl.incremental` from a previously classified
-    hierarchy: the cover DAG, equivalence groups, ⊤-members and
-    unsatisfiable names of the *unaffected* portion, plus the ``insert``
-    list of names to (re)position via enhanced traversal.  Every edge of
-    the seeded DAG is reused verbatim — only inserted names pay tableau
-    tests.  ``parents``/``children`` map group representatives (with
-    :data:`TOP_NAME` and :data:`BOTTOM_NAME` included) to their direct
-    covers, exactly the invariant the insertion algorithm maintains.
-    """
-
-    parents: dict[str, set[str]] = field(
-        default_factory=lambda: {TOP_NAME: set(), BOTTOM_NAME: {TOP_NAME}}
-    )
-    children: dict[str, set[str]] = field(
-        default_factory=lambda: {TOP_NAME: {BOTTOM_NAME}, BOTTOM_NAME: set()}
-    )
-    groups: dict[str, list[str]] = field(default_factory=dict)
-    top_members: list[str] = field(default_factory=list)
-    unsatisfiable: frozenset[str] = frozenset()
-    insert: list[str] = field(default_factory=list)
-
-
 class ConceptHierarchy:
     """The classified hierarchy of a TBox.
 
@@ -100,6 +74,10 @@ class ConceptHierarchy:
 
     ``algorithm`` records the *resolved* algorithm: a construction with
     ``"auto"`` ends up reading ``"saturation"`` or ``"enhanced"`` here.
+    The reasoner (and the saturation oracle) are held only while the
+    hierarchy classifies: a finished hierarchy can outlive them — a hot
+    swap that keeps it for an unchanged TBox must not keep the old
+    reasoner's interned concepts resident.
 
     With a :class:`repro.robust.Budget`, every subsumption and
     satisfiability question runs governed under a per-query
@@ -118,20 +96,14 @@ class ConceptHierarchy:
         use_told_subsumers: bool = True,
         algorithm: str = "enhanced",
         budget: Budget | None = None,
-        seed: HierarchySeed | None = None,
     ) -> None:
         if algorithm not in _ALGORITHMS:
             raise ValueError(
                 f"unknown classification algorithm {algorithm!r}; "
                 f"expected one of {_ALGORITHMS}"
             )
-        if seed is not None and algorithm not in ("enhanced", "auto"):
-            raise ValueError(
-                "incremental (seeded) classification requires the "
-                "enhanced algorithm"
-            )
         self.tbox = tbox
-        self.reasoner = reasoner or Reasoner(tbox)
+        self._reasoner: Optional[Reasoner] = reasoner or Reasoner(tbox)
         self.told_hits = 0
         self.pruned_tests = 0
         self.tableau_tests = 0
@@ -143,26 +115,14 @@ class ConceptHierarchy:
         self._satisfiable: dict[str, bool] = {}
         self._oracle: Optional["Saturation"] = None
 
-        # "auto" resolves against the TBox shape: saturation classifies
-        # a pure-EL TBox outright, but a budgeted run must stay on the
-        # governed tableau path (so exhaustion can be reported per pair)
-        # and a seeded run is by construction an enhanced insertion.
-        if algorithm == "auto":
-            if (
-                seed is None
-                and budget is None
-                and self.reasoner.saturation().complete
-            ):
-                algorithm = "saturation"
-            else:
-                algorithm = "enhanced"
+        algorithm = self._reasoner.resolve_algorithm(algorithm, budget)
         self.algorithm = algorithm
 
-        # the saturation oracle serves explicit saturation runs (hybrid
-        # when residue remains) and seeded incremental runs; the pure
-        # "enhanced" and "brute" baselines stay tableau-driven
-        if algorithm == "saturation" or seed is not None:
-            self._oracle = self.reasoner.saturation()
+        # the saturation oracle serves saturation runs (hybrid when
+        # residue remains); the pure "enhanced" and "brute" baselines
+        # stay tableau-driven
+        if algorithm == "saturation":
+            self._oracle = self._reasoner.saturation()
 
         names = sorted(tbox.atomic_names())
         _obs.incr("hierarchy.classifications")
@@ -174,14 +134,14 @@ class ConceptHierarchy:
             elif (
                 algorithm == "saturation"
                 and self._oracle.complete
-                and seed is None
                 and budget is None
             ):
                 groups, edges, top_members = self._classify_saturation(names)
             else:
                 groups, edges, top_members = self._classify_enhanced(
-                    names, told_up, seed=seed
+                    names, told_up
                 )
+        self._reasoner = self._oracle = None
 
         # shared finalization: lexicographic-minimum representatives,
         # group_of for every name (⊤-equivalents to ⊤, unsatisfiable to ⊥),
@@ -235,8 +195,8 @@ class ConceptHierarchy:
         self.tableau_tests += 1
         _obs.incr("hierarchy.tableau_subsumptions")
         if self._budget is None:
-            return self.reasoner.subsumes(general, specific)
-        verdict = self.reasoner.subsumes_governed(
+            return self._reasoner.subsumes(general, specific)
+        verdict = self._reasoner.subsumes_governed(
             general, specific, self._budget.child()
         )
         if verdict.is_unknown:
@@ -255,8 +215,8 @@ class ConceptHierarchy:
             _obs.incr("saturation.tableau_fallbacks")
         _obs.incr("hierarchy.sat_checks")
         if self._budget is None:
-            return self.reasoner.is_satisfiable(Atomic(name))
-        verdict = self.reasoner.is_satisfiable_governed(
+            return self._reasoner.is_satisfiable(Atomic(name))
+        verdict = self._reasoner.is_satisfiable_governed(
             Atomic(name), self._budget.child()
         )
         if verdict.is_unknown:
@@ -380,10 +340,7 @@ class ConceptHierarchy:
         return groups, edges, top_members
 
     def _classify_enhanced(
-        self,
-        names: list[str],
-        told_up: dict[str, frozenset[str]],
-        seed: HierarchySeed | None = None,
+        self, names: list[str], told_up: dict[str, frozenset[str]]
     ) -> tuple[dict[str, list[str]], list[tuple[str, str]], list[str]]:
         """Insertion classification with top/bottom enhanced traversal.
 
@@ -391,11 +348,6 @@ class ConceptHierarchy:
         representatives in creation order); ``parents``/``children`` and
         every closure/memo structure are int bitmasks, so transitivity
         and negative propagation are single bitwise operations.
-
-        With a :class:`HierarchySeed`, the DAG starts from the seed's
-        already-positioned structure and only ``seed.insert`` names are
-        (re)inserted; every seeded edge and group membership is reused
-        without a tableau call.
         """
         told_down: dict[str, set[str]] = {}
         for name, ups in told_up.items():
@@ -413,34 +365,6 @@ class ConceptHierarchy:
         groups: dict[int, list[str]] = {}
         node_of: dict[str, int] = {}  # inserted name -> its group's node id
         top_members: list[str] = []
-        if seed is None:
-            to_insert = names
-        else:
-            for node in sorted(seed.parents):
-                nodes.intern(node)  # deterministic id assignment
-            for node, ps in seed.parents.items():
-                parents[nodes.intern(node)] = BitSet.of(
-                    nodes.intern(p) for p in ps
-                )
-            for node, cs in seed.children.items():
-                children[nodes.intern(node)] = BitSet.of(
-                    nodes.intern(c) for c in cs
-                )
-            for rep, members in seed.groups.items():
-                rep_id = nodes.intern(rep)
-                groups[rep_id] = list(members)
-                for member in members:
-                    node_of[member] = rep_id
-                    self._satisfiable[member] = True
-            top_members = list(seed.top_members)
-            for member in top_members:
-                node_of[member] = top_id
-                self._satisfiable[member] = True
-            for name in seed.unsatisfiable:
-                node_of[name] = bot_id
-                self._satisfiable[name] = False
-            insert_set = set(seed.insert)
-            to_insert = [n for n in names if n in insert_set]
 
         def up_closure(mask: int) -> int:
             out = 0
@@ -462,10 +386,10 @@ class ConceptHierarchy:
                 frontier |= children[low.bit_length() - 1] & ~out
             return out
 
-        for name in _insertion_order(to_insert, told_up):
+        for name in _insertion_order(names, told_up):
             concept = Atomic(name)
 
-            if self.reasoner.known_satisfiability(concept) is False:
+            if self._reasoner.known_satisfiability(concept) is False:
                 self._satisfiable[name] = False
                 node_of[name] = bot_id
                 continue

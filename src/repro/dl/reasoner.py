@@ -242,8 +242,8 @@ class Reasoner:
         """The Horn/EL saturation of the TBox, built once per revision.
 
         Classification uses it as a subsumption oracle (and as the whole
-        algorithm when :attr:`Saturation.complete`); incremental
-        reclassification reuses the same instance across its seeded run.
+        algorithm when :attr:`Saturation.complete`), and ``"auto"``
+        resolves against it (:meth:`resolve_algorithm`).
         """
         from .saturation import Saturation
 
@@ -251,6 +251,23 @@ class Reasoner:
         if self._saturation is None:
             self._saturation = Saturation(self.tbox)
         return self._saturation
+
+    def resolve_algorithm(
+        self, algorithm: str, budget: Optional[Budget] = None
+    ) -> str:
+        """What ``algorithm`` means for this TBox; only ``"auto"`` moves.
+
+        ``"auto"`` resolves to consequence-based saturation when the TBox
+        normalizes entirely into the Horn/EL fragment and the run is
+        unbudgeted, and to enhanced traversal otherwise: a budgeted run
+        must stay on the governed tableau path so exhaustion can be
+        reported per pair.
+        """
+        if algorithm != "auto":
+            return algorithm
+        if budget is None and self.saturation().complete:
+            return "saturation"
+        return "enhanced"
 
     def classify(
         self,
@@ -261,11 +278,9 @@ class Reasoner:
     ) -> "ConceptHierarchy":
         """The classified concept hierarchy of the TBox, cached.
 
-        The default ``algorithm="auto"`` resolves to consequence-based
-        saturation when the TBox is fully Horn/EL and the call is not
-        budget-governed, and to enhanced traversal otherwise — the
-        resolution happens here so explicit and auto callers share cache
-        entries.
+        The default ``algorithm="auto"`` is resolved here
+        (:meth:`resolve_algorithm`) so explicit and auto callers share
+        cache entries.
 
         The hierarchy is computed once per (algorithm, told-seeding)
         configuration and reused until the TBox revision moves, at which
@@ -284,12 +299,7 @@ class Reasoner:
 
         self._check_revision()
         requested_auto = algorithm == "auto"
-        if requested_auto:
-            algorithm = (
-                "saturation"
-                if budget is None and self.saturation().complete
-                else "enhanced"
-            )
+        algorithm = self.resolve_algorithm(algorithm, budget)
         key = (algorithm, use_told_subsumers)
         hierarchy = self._hierarchy_cache.get(key)
         if hierarchy is None and requested_auto and budget is not None:
@@ -314,16 +324,20 @@ class Reasoner:
         return hierarchy
 
     def adopt_caches(self, other: "Reasoner", *, invalid: frozenset[str]) -> int:
-        """Copy still-valid sat/subsumption entries from ``other``.
+        """Copy still-valid cached answers from ``other``.
 
-        An entry is carried over iff no atomic name of its concept(s)
-        touches ``invalid`` — the caller's set of names whose reachable
-        definitions differ between the two reasoners' TBoxes.  Only
-        sound for TBoxes that agree outside ``invalid``: a concept whose
-        names all lie outside the change-impact set unfolds to the same
+        A sat/subsumption entry is carried over iff no atomic name of
+        its concept(s) touches ``invalid`` — the caller's set of names
+        whose reachable definitions differ between the two reasoners'
+        TBoxes (:func:`repro.dl.diff.change_impact`).  Only sound for
+        TBoxes that agree outside ``invalid``: a concept whose names all
+        lie outside the change-impact set unfolds to the same
         definitional web in both, so the old tableau answer stands.
-        Existing local entries win over adopted ones.  Returns the number
-        of entries carried.
+        With nothing invalid the TBoxes agree on every name, so the
+        saturation and the classified hierarchies carry over too and a
+        following :meth:`classify` is a cache hit.  Existing local
+        entries win over adopted ones.  Returns the number of sat and
+        subsumption entries carried.
         """
         self._check_revision()
         carried = 0
@@ -351,46 +365,12 @@ class Reasoner:
                 continue
             self._subs_cache[key] = value
             carried += 1
+        if not invalid:
+            if self._saturation is None:
+                self._saturation = other._saturation
+            for key, hierarchy in list(other._hierarchy_cache.items()):
+                self._hierarchy_cache.setdefault(key, hierarchy)
         return carried
-
-    def reclassify(
-        self,
-        old: "ConceptHierarchy",
-        *,
-        delta=None,
-        budget: Optional[Budget] = None,
-        max_affected_fraction: Optional[float] = None,
-    ):
-        """Classify this reasoner's TBox starting from ``old``'s answer.
-
-        Delegates to :func:`repro.dl.incremental.reclassify` with this
-        reasoner receiving the carried-over caches, and seeds the
-        hierarchy cache with the result when it is complete — a follow-up
-        :meth:`classify` call is then a cache hit.  Returns the
-        :class:`repro.dl.incremental.ReclassifyResult`.
-        """
-        from .incremental import DEFAULT_MAX_AFFECTED_FRACTION, reclassify
-
-        self._check_revision()
-        if max_affected_fraction is None:
-            max_affected_fraction = DEFAULT_MAX_AFFECTED_FRACTION
-        result = reclassify(
-            old,
-            self.tbox,
-            delta=delta,
-            reasoner=self,
-            budget=budget,
-            max_affected_fraction=max_affected_fraction,
-        )
-        if not result.hierarchy.incomplete:
-            self._hierarchy_cache.setdefault(("enhanced", True), result.hierarchy)
-            if self.saturation().complete:
-                # an unbudgeted classify() resolves "auto" to saturation
-                # on this TBox: seed that key too so it hits the cache
-                self._hierarchy_cache.setdefault(
-                    ("saturation", True), result.hierarchy
-                )
-        return result
 
     # ------------------------------------------------------------------ #
     # ABox services

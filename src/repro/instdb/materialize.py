@@ -25,7 +25,7 @@ Every derived row records its ``materialized_from`` source, which is
 what makes TBox swaps cheap: :func:`refresh` compares each told
 concept's closure under the new hierarchy against the closure map the
 previous materialization returned and re-derives **only the changed
-sources** — the incremental-reclassify delta bounds which sources can
+sources** — the swap's change-impact set bounds which sources can
 change, everything else is untouched rows.  ⊤-equivalent names (which
 hold of *every* individual regardless of told types) are folded into
 every source's closure, so they need no per-individual pass either.
@@ -130,12 +130,13 @@ def refresh(
     ``previous`` is the closure map of the materialization currently in
     the backend (``result.closures``); a source whose new closure equals
     its recorded one keeps all its rows untouched.  ``affected`` — the
-    name set from the incremental-reclassify delta — is an optional
-    pre-filter: a source absent from it whose old closure is disjoint
-    from it cannot have moved (reclassification leaves every unaffected
-    concept's ancestry alone), so its closure is not even recomputed.
-    New told concepts (data loaded since the last run) are always
-    candidates.
+    swap's change-impact set (:func:`repro.dl.diff.change_impact`), the
+    names whose meaning the edit can move — is an optional pre-filter:
+    a source absent from it whose old closure is disjoint from it
+    cannot have moved (a name outside the set keeps its definitional
+    web, so its ancestry stands), so its closure is not even
+    recomputed.  ``None`` recomputes every closure.  New told concepts
+    (data loaded since the last run) are always candidates.
     """
     _obs.incr("instdb.refresh_runs")
     told = backend.told_concepts()
@@ -153,7 +154,7 @@ def refresh(
             and affected is not None
             and source not in affected
             and not (old & affected)
-            # the reclassify delta omits names *removed* from the
+            # the impact set omits names *removed* from the
             # vocabulary — a closure referencing one must be recomputed
             and source in known
             and old <= known

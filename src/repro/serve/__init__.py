@@ -13,16 +13,18 @@ one-shot CLI invocations that re-parse and re-classify per call:
   budget slices of a server-wide allowance;
 * :mod:`repro.serve.snapshot` — the MVCC snapshot chain: refcounted,
   hot-swappable TBox versions (in-flight requests finish on the version
-  they started on; retired versions drop caches at their last release);
+  they started on; retired versions drop caches at their last release;
+  a swap classifies the successor with the predecessor's still-valid
+  reasoner caches carried over);
 * :mod:`repro.serve.editlog` — the durable append-only edit log with
   replay-on-start crash recovery (acknowledged edits survive SIGKILL);
 * :mod:`repro.serve.replication` — warm-standby log shipping: a
-  follower pulls sealed records, applies them through the incremental
-  publication path, and can be promoted under a persisted fencing
+  follower pulls sealed records, applies them through the same swap
+  path, and can be promoted under a persisted fencing
   epoch (split-brain-safe failover);
 * :mod:`repro.serve.workers` — the multi-worker mode: a routing
   front process plus N fork-shared (or spawn-loaded) worker processes
-  with delta-shipped hot swaps (``--workers N``);
+  with hot swaps shipped as edit records (``--workers N``);
 * :mod:`repro.serve.control` — the front↔worker control channel
   (HTTP/1.1 over per-worker Unix sockets);
 * :mod:`repro.serve.protocol` — HTTP/1.1 framing and the JSON bodies;

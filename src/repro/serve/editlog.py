@@ -49,10 +49,7 @@ via :meth:`EditLog.base_snapshot`; a follower applies shipped records
 verbatim — primary-assigned versions and all — with
 :meth:`EditLog.append_record` (durable before the apply is visible,
 stale duplicates skipped) and resynchronizes from a shipped base with
-:meth:`EditLog.install_base`.  :meth:`EditRecord.to_delta` rehydrates
-the stored delta as a :class:`repro.dl.diff.AxiomDelta`, so publication
-can hand it straight to incremental reclassification instead of
-re-diffing full TBox texts.
+:meth:`EditLog.install_base`.
 
 Counters: ``editlog.appends``, ``editlog.replayed_records``,
 ``editlog.torn_records``, ``editlog.torn_writes_recovered``,
@@ -75,8 +72,7 @@ from typing import Optional, Union
 from ..dl import ParseError, TBox, parse_axiom, parse_tbox
 from ..dl.diff import AxiomDelta, axiom_diff
 from ..dl.serialize import to_text
-from ..dl.syntax import Atomic
-from ..dl.tbox import Equivalence, Subsumption
+from ..dl.tbox import Subsumption
 from ..obs import recorder as _obs
 from ..store import append_verified_bytes, atomic_write_text
 
@@ -142,10 +138,11 @@ class EditRecord:
     def from_diff(cls, version: int, delta: AxiomDelta) -> "EditRecord":
         """A record carrying ``delta`` as sorted axiom texts.
 
-        Used by the multi-worker front process to synthesize a shippable
-        record for publications that did not come from a log append
-        (``/v1/tbox`` without ``--edit-log``, coalesced publishes, base
-        installs) — the workers apply it exactly like a logged record.
+        How :meth:`EditLog.append` seals an edit, and how the
+        multi-worker front process synthesizes a shippable record for
+        publications that did not come from a log append (``/v1/tbox``
+        without ``--edit-log``, coalesced publishes, base installs) —
+        the workers apply it exactly like a logged record.
         """
         return cls(
             version=version,
@@ -156,43 +153,6 @@ class EditRecord:
     def apply(self, tbox: TBox) -> TBox:
         """The successor TBox: this record's delta applied to ``tbox``."""
         return _apply(tbox, self)
-
-    def to_delta(self, old_tbox: TBox, new_tbox: TBox) -> AxiomDelta:
-        """The stored delta as an :class:`~repro.dl.diff.AxiomDelta`.
-
-        Equivalent to ``axiom_diff(old_tbox, new_tbox)`` but built from
-        the record's own added/removed axiom texts, so publication pays
-        for the *edit's* axioms instead of re-diffing both full TBoxes.
-        ``old_tbox``/``new_tbox`` must be the record's predecessor and
-        successor states (they supply only the vocabulary delta).
-        """
-        added = frozenset(parse_axiom(text) for text in self.added)
-        removed = frozenset(parse_axiom(text) for text in self.removed)
-        changed: set[str] = set()
-        general_changed = False
-        # same classification as repro.dl.diff.axiom_diff: definitorial
-        # edits name their lhs (both sides for atomic equivalences);
-        # anything else is a general change that defeats locality
-        for axiom in (*added, *removed):
-            if not isinstance(axiom.lhs, Atomic):
-                general_changed = True
-                continue
-            changed.add(axiom.lhs.name)
-            if isinstance(axiom, Equivalence):
-                if isinstance(axiom.rhs, Atomic):
-                    changed.add(axiom.rhs.name)
-                else:
-                    general_changed = True
-        names_before = old_tbox.atomic_names()
-        names_after = new_tbox.atomic_names()
-        return AxiomDelta(
-            added=added,
-            removed=removed,
-            names_added=frozenset(names_after - names_before),
-            names_removed=frozenset(names_before - names_after),
-            changed_names=frozenset(changed),
-            general_changed=general_changed,
-        )
 
 
 @dataclass(frozen=True)
@@ -230,20 +190,7 @@ def _decode_record(line: bytes) -> Optional[EditRecord]:
         row = json.loads(payload)
     except json.JSONDecodeError:
         return None
-    if (
-        not isinstance(row, dict)
-        or not isinstance(row.get("version"), int)
-        or not isinstance(row.get("added"), list)
-        or not isinstance(row.get("removed"), list)
-        or not all(isinstance(a, str) for a in row["added"])
-        or not all(isinstance(r, str) for r in row["removed"])
-    ):
-        return None
-    return EditRecord(
-        version=row["version"],
-        added=tuple(row["added"]),
-        removed=tuple(row["removed"]),
-    )
+    return EditRecord.from_json(row)
 
 
 def _apply(tbox: TBox, record: EditRecord) -> TBox:
@@ -425,11 +372,8 @@ class EditLog:
         a recovery over the same log would reconstruct.
         """
         with self._lock:
-            delta = axiom_diff(self.tbox, new_tbox)
-            record = EditRecord(
-                version=self.version + 1,
-                added=tuple(sorted(_axiom_text(ax) for ax in delta.added)),
-                removed=tuple(sorted(_axiom_text(ax) for ax in delta.removed)),
+            record = EditRecord.from_diff(
+                self.version + 1, axiom_diff(self.tbox, new_tbox)
             )
             self._append_locked(record)
         return record

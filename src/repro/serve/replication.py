@@ -3,8 +3,8 @@
 A single crash-durable server (PR 6) still means downtime while a
 restart replays the log.  This module keeps a **follower** process hot:
 it polls the primary for sealed edit-log records over the existing
-JSON-over-HTTP protocol, applies them through the incremental-reclassify
-publication path so its MVCC snapshot chain stays classified and warm,
+JSON-over-HTTP protocol, applies them through the same snapshot swap
+path as the primary so its MVCC snapshot chain stays classified and warm,
 and can be **promoted** to primary in milliseconds — no cold rebuild.
 
 Topology and protocol::

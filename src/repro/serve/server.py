@@ -41,7 +41,7 @@ crash included.
 With ``--follow PRIMARY_URL`` the process boots as a **warm standby**
 (:mod:`repro.serve.replication`): it pulls sealed edit records from the
 primary, applies them through the same durable log and publishes them
-through the incremental snapshot path, serves read-only traffic tagged
+through the same snapshot swap path, serves read-only traffic tagged
 with an ``X-Replication-Lag-Records`` header, refuses writes with 503 +
 the primary's location, and is promoted — ``POST /v1/promote``, or
 automatically after ``--auto-promote-after`` failed pulls — under a
@@ -96,8 +96,6 @@ class ServeConfig:
     ms_allowance: Optional[float] = None
     max_nodes: int = 2000
     tbox_store: Optional[str] = None
-    incremental_swap: bool = True
-    incremental_threshold: float = 0.5
     edit_log: Optional[str] = None
     min_swap_interval_ms: float = 0.0
     rebase_limit: int = DEFAULT_REBASE_LIMIT
@@ -192,8 +190,6 @@ class ReasoningServer:
                 tbox,
                 max_nodes=self.config.max_nodes,
                 store_path=self.config.tbox_store,
-                incremental=self.config.incremental_swap,
-                max_affected_fraction=self.config.incremental_threshold,
                 initial_version=initial_version,
             )
         self.batcher = Batcher(
@@ -694,10 +690,8 @@ class ReasoningServer:
     async def _on_replicated_records(self, records: list[EditRecord]) -> None:
         """Publish a just-applied batch so the snapshot chain stays warm.
 
-        One publish per poll batch: in steady state a batch is a single
-        record whose stored delta drives the incremental reclassify; a
-        multi-record catch-up batch publishes once at the batch tip
-        (the combined delta is recomputed — still incremental).
+        One publish per poll batch: a multi-record catch-up batch
+        publishes once, at the batch tip.
         """
         if not records or self.editlog is None:
             return
@@ -708,7 +702,7 @@ class ReasoningServer:
         try:
             with _responsive_gil():
                 prepared = await asyncio.to_thread(
-                    self.snapshots.prepare, tbox, version=version, record=record
+                    self.snapshots.prepare, tbox, version=version
                 )
             old = self.snapshots.swap(prepared)
             self._observe_visibility(version)
@@ -719,7 +713,7 @@ class ReasoningServer:
         await self._refresh_instdb(prepared)
 
     async def _on_replicated_base(self, version: int) -> None:
-        """Publish a freshly installed base snapshot (full prepare).
+        """Publish a freshly installed base snapshot.
 
         Raises on failure: the installed base already advanced the
         durable log to the primary's tip, so the next pull will never
@@ -944,12 +938,10 @@ class ReasoningServer:
             }
         try:
             # classification of the successor runs in a worker thread —
-            # the event loop keeps answering from the current snapshot;
-            # the logged record hands its stored delta to the
-            # incremental path (no full-TBox re-diff) when contiguous
+            # the event loop keeps answering from the current snapshot
             with _responsive_gil():
                 prepared = await asyncio.to_thread(
-                    self.snapshots.prepare, tbox, version=version, record=record
+                    self.snapshots.prepare, tbox, version=version
                 )
             old = self.snapshots.swap(prepared)
             # multi-worker front: ship the record while _publishing still
@@ -962,18 +954,14 @@ class ReasoningServer:
         self._observe_visibility(prepared.version)
         await self._refresh_instdb(prepared)
         self._kick_publisher()  # an edit may have queued during prepare
-        body = {
+        return 200, {
             "swap_status": "applied",
             "tbox_version": prepared.version,
             "axioms": len(tbox),
             "retired_version": old.version,
             "retired_refs": old.refs,
             "swap_mode": prepared.swap_mode,
-            "delta_from_log": prepared.delta_from_log,
         }
-        if prepared.swap_detail is not None:
-            body["swap_detail"] = prepared.swap_detail
-        return 200, body
 
     # -- deferred publication -------------------------------------------- #
 
@@ -1019,7 +1007,7 @@ class ReasoningServer:
             try:
                 with _responsive_gil():
                     prepared = await asyncio.to_thread(
-                        self.snapshots.prepare, tbox, version=version, record=record
+                        self.snapshots.prepare, tbox, version=version
                     )
                 old = self.snapshots.swap(prepared)
                 self._observe_visibility(version)

@@ -17,19 +17,16 @@ traffic.  The scheme here is the classic immutable-snapshot swap:
   its reasoner caches (:meth:`repro.dl.Reasoner.release`) so superseded
   sat/subsumption entries do not stay memory-resident.
 
-Since the successor usually differs from its predecessor by a handful of
-axioms, :meth:`SnapshotManager.prepare` defaults to *incremental*
-preparation (:meth:`Snapshot.prepare_from`): the new hierarchy is
-reclassified from the old one via :mod:`repro.dl.incremental`, falling
-back to a full classification on structural upheaval.  When the edit
-arrived through the edit log (or the replication channel), the stored
-:class:`~repro.serve.editlog.EditRecord` already carries the delta —
-``prepare(..., record=...)`` rehydrates it and hands it straight to the
-reclassification instead of re-diffing two full TBoxes, *provided* the
-record extends the predecessor directly (coalescing can skip versions,
-in which case the record's single-edit delta would be unsound and the
-diff is recomputed).  Stored-delta publishes are counted in
-``serve.delta_swaps``.
+A swap has one path (:meth:`Snapshot.prepare` with the predecessor):
+the successor's reasoner adopts every sat/subsumption cache entry of
+the predecessor's that the edit's change-impact set
+(:func:`repro.dl.diff.change_impact`) leaves valid, then classifies
+with :meth:`repro.dl.Reasoner.classify` — the saturation fast path on
+a Horn/EL TBox, enhanced traversal answering from the carried caches
+otherwise.  An edit whose axiom set equals the predecessor's carries
+the hierarchy itself, so that classification is a cache hit and the
+successor keeps the predecessor's hierarchy (``swap_mode ==
+"reused"``).
 
 The manager is an **MVCC chain**: at any instant several versions can be
 live at once — the current snapshot plus retired predecessors still
@@ -40,8 +37,7 @@ accepts the (edit-log-assigned) version of the newest coalesced edit, so
 the published chain can legitimately skip numbers that were logged but
 never served.
 
-Counters: ``serve.tbox_swaps``, ``serve.incremental_swaps``,
-``serve.full_swaps``, ``serve.snapshots_retired``,
+Counters: ``serve.tbox_swaps``, ``serve.snapshots_retired``,
 ``serve.snapshots_released``.
 """
 
@@ -51,13 +47,12 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from ..dl import ConceptHierarchy, Reasoner, TBox
+from ..dl import ConceptHierarchy, Reasoner, TBox, change_impact
 from ..dl.serialize import tbox_to_text
 from ..obs import recorder as _obs
 from ..store import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..dl.diff import AxiomDelta
     from .editlog import EditRecord
 
 
@@ -79,18 +74,13 @@ class Snapshot:
         self.version = version
         self.reasoner = Reasoner(tbox, max_nodes=max_nodes)
         self.hierarchy: Optional[ConceptHierarchy] = None
-        #: how this snapshot's hierarchy was obtained: "full" or
-        #: "incremental"; when full because an incremental attempt fell
-        #: back, ``swap_detail`` carries the reason
+        #: how this snapshot's hierarchy was obtained: "full" when it was
+        #: classified, "reused" when the predecessor's was kept
         self.swap_mode: str = "full"
-        self.swap_detail: Optional[str] = None
-        #: True when the hierarchy was reclassified from a stored
-        #: edit-record delta rather than a recomputed full-TBox diff
-        self.delta_from_log: bool = False
-        #: names the reclassification (re)inserted — a sound
-        #: overapproximation of every concept whose ancestry could have
-        #: changed; None on a from-scratch classification.  The instance
-        #: store's refresh uses it to skip untouched told concepts.
+        #: the edit's change-impact set — every name whose ancestry may
+        #: differ from the predecessor's; None without a predecessor or
+        #: when no locality argument holds.  The instance store's
+        #: refresh uses it to skip untouched told concepts.
         self.reclassify_affected: Optional[frozenset[str]] = None
         self._refs = 0
         self._retired = False
@@ -99,57 +89,29 @@ class Snapshot:
 
     # -- preparation (off the serving path) ----------------------------- #
 
-    def prepare(self) -> "Snapshot":
-        """Pre-classify so serving never pays for the first classification.
+    def prepare(self, predecessor: Optional["Snapshot"] = None) -> "Snapshot":
+        """Classify off the serving path so serving never pays for it.
 
-        Safe to call from a worker thread: nothing else references this
-        snapshot until the manager swaps it in.
+        With ``predecessor`` (the version being replaced), first adopt
+        its reasoner's cache entries that the edit's change-impact set
+        leaves valid; an unchanged axiom set carries the hierarchy too,
+        and :attr:`swap_mode` reads ``"reused"``.  Reading the
+        predecessor is safe while it serves traffic — its hierarchy is
+        immutable and cache adoption snapshots the dicts.  Safe to call
+        from a worker thread: nothing else references this snapshot
+        until the manager swaps it in.
         """
+        kept = None
+        if predecessor is not None:
+            kept = predecessor.hierarchy
+            self.reclassify_affected = change_impact(predecessor.tbox, self.tbox)
+            if self.reclassify_affected is not None:
+                self.reasoner.adopt_caches(
+                    predecessor.reasoner, invalid=self.reclassify_affected
+                )
         self.hierarchy = self.reasoner.classify()
-        return self
-
-    def prepare_from(
-        self,
-        predecessor: "Snapshot",
-        *,
-        max_affected_fraction: float = 0.5,
-        delta: Optional["AxiomDelta"] = None,
-    ) -> "Snapshot":
-        """Pre-classify by *reclassifying* the predecessor's hierarchy.
-
-        The delta-driven path of :mod:`repro.dl.incremental`: only
-        concepts affected by the edit are re-inserted, unaffected cover
-        edges and still-valid reasoner cache entries are carried over.
-        Reading the predecessor is safe while it serves traffic — its
-        hierarchy is immutable and cache adoption snapshots the dicts.
-        ``delta`` (when the caller already holds the edit's delta, e.g.
-        from a stored :class:`~repro.serve.editlog.EditRecord`) skips
-        the full-TBox re-diff; it MUST describe exactly the
-        predecessor→successor edit.  Falls back to :meth:`prepare` when
-        the predecessor has no hierarchy left (already released) or it
-        is budget-incomplete, and records the outcome in
-        :attr:`swap_mode`/:attr:`swap_detail`.
-        """
-        old = predecessor.hierarchy
-        if old is None or old.incomplete:
-            self.swap_detail = (
-                "predecessor hierarchy unavailable"
-                if old is None
-                else "predecessor hierarchy incomplete"
-            )
-            return self.prepare()
-        result = self.reasoner.reclassify(
-            old, delta=delta, max_affected_fraction=max_affected_fraction
-        )
-        self.hierarchy = result.hierarchy
-        self.swap_mode = result.mode
-        self.swap_detail = result.fallback_reason
-        # on fallback ``affected`` covers every name, which degrades the
-        # instdb refresh prefilter to "recompute all" — still sound
-        self.reclassify_affected = result.affected
-        if delta is not None:
-            self.delta_from_log = True
-            _obs.incr("serve.delta_swaps")
+        if self.hierarchy is kept:
+            self.swap_mode = "reused"
         return self
 
     # -- refcounting ----------------------------------------------------- #
@@ -198,8 +160,7 @@ class Snapshot:
     def classify_algorithm(self) -> Optional[str]:
         """The resolved classification algorithm behind this version's
         hierarchy ("saturation" on a fully Horn/EL TBox, "enhanced"
-        otherwise — including seeded incremental swaps); None once
-        released."""
+        otherwise); None once released."""
         return None if self.hierarchy is None else self.hierarchy.algorithm
 
     @property
@@ -230,14 +191,10 @@ class SnapshotManager:
         *,
         max_nodes: int = 2000,
         store_path: Optional[str | Path] = None,
-        incremental: bool = True,
-        max_affected_fraction: float = 0.5,
         initial_version: int = 1,
     ) -> None:
         self._max_nodes = max_nodes
         self._store_path = Path(store_path) if store_path is not None else None
-        self._incremental = incremental
-        self._max_affected_fraction = max_affected_fraction
         self._lock = threading.Lock()
         self._current = Snapshot(
             tbox if tbox is not None else TBox(),
@@ -266,32 +223,17 @@ class SnapshotManager:
         with self._lock:
             return self._current.acquire()
 
-    def prepare(
-        self,
-        tbox: TBox,
-        *,
-        version: Optional[int] = None,
-        record: Optional["EditRecord"] = None,
-    ) -> Snapshot:
+    def prepare(self, tbox: TBox, *, version: Optional[int] = None) -> Snapshot:
         """Build and pre-classify the successor without swapping it in.
 
         This is the expensive part; the server runs it in a worker
         thread so the event loop keeps serving from the old version.
-        With ``incremental=True`` (the default) the successor is
-        reclassified from the current snapshot instead of from scratch,
-        falling back to a full classification above the configured
-        affected-fraction threshold.
+        The current snapshot is the predecessor :meth:`Snapshot.prepare`
+        carries caches (or the whole hierarchy) from.
 
         ``version`` defaults to the successor of the current version;
         pass an explicit (larger) one to publish a coalesced edit under
-        its edit-log-assigned version.  ``record`` is the edit-log
-        record that produced ``tbox``: when it extends the predecessor
-        *directly* (``record.version == predecessor.version + 1``) its
-        stored delta is rehydrated and drives the reclassification —
-        no full-TBox re-diff.  A record that skipped versions
-        (coalescing, base resync, records from before delta-carrying
-        publication) is ignored and the diff is computed, which is
-        always sound.
+        its edit-log-assigned version.
         """
         predecessor = self._current
         if version is None:
@@ -301,20 +243,7 @@ class SnapshotManager:
                 f"cannot prepare v{version} on top of v{predecessor.version}"
             )
         successor = Snapshot(tbox, version, max_nodes=self._max_nodes)
-        if self._incremental:
-            delta = None
-            if (
-                record is not None
-                and record.version == predecessor.version + 1
-                and record.version == version
-            ):
-                delta = record.to_delta(predecessor.tbox, tbox)
-            return successor.prepare_from(
-                predecessor,
-                max_affected_fraction=self._max_affected_fraction,
-                delta=delta,
-            )
-        return successor.prepare()
+        return successor.prepare(predecessor)
 
     def fork_clone(self) -> "SnapshotManager":
         """A fresh manager serving this manager's current snapshot.
@@ -337,12 +266,9 @@ class SnapshotManager:
         boot.reasoner = current.reasoner
         boot.hierarchy = current.hierarchy
         boot.swap_mode = current.swap_mode
-        boot.swap_detail = current.swap_detail
         clone = SnapshotManager.__new__(SnapshotManager)
         clone._max_nodes = self._max_nodes
         clone._store_path = None
-        clone._incremental = self._incremental
-        clone._max_affected_fraction = self._max_affected_fraction
         clone._lock = threading.Lock()
         clone._current = boot
         clone._chain = [boot]
@@ -351,56 +277,42 @@ class SnapshotManager:
     def prepare_delta(self, record: "EditRecord") -> Snapshot:
         """Prepare the successor from a shipped edit record alone.
 
-        The multi-worker path: the front process reclassifies once and
-        ships each worker the sealed record whose delta is — by the
-        front's construction — exactly current → ``record.version``, so
-        the worker applies the axiom texts and reclassifies from its
-        current snapshot without ever re-diffing full TBoxes.  Unlike
-        :meth:`prepare`, the record's version may skip numbers (the
-        front coalesces); the caller guarantees the record's base is the
+        The multi-worker path: the front ships each worker the sealed
+        record whose delta is — by the front's construction — exactly
+        current → ``record.version``, so the worker applies the axiom
+        texts to its current TBox and prepares the result like any
+        other swap.  The record's version may skip numbers (the front
+        coalesces); the caller guarantees the record's base is the
         worker's current version (enforced by the control protocol's
         ``base_version`` check).
         """
-        predecessor = self._current
-        if record.version <= predecessor.version:
-            raise SnapshotError(
-                f"stale record: v{record.version} <= current "
-                f"v{predecessor.version}"
-            )
-        tbox = record.apply(predecessor.tbox)
-        successor = Snapshot(tbox, record.version, max_nodes=self._max_nodes)
-        if self._incremental:
-            return successor.prepare_from(
-                predecessor,
-                max_affected_fraction=self._max_affected_fraction,
-                delta=record.to_delta(predecessor.tbox, tbox),
-            )
-        return successor.prepare()
+        tbox = record.apply(self._current.tbox)
+        return self.prepare(tbox, version=record.version)
 
     def swap(self, prepared: Snapshot) -> Snapshot:
         """Atomically install ``prepared``; retire and return the old one."""
         if prepared.hierarchy is None:
             raise SnapshotError("swap target was not prepared")
+        # a stale swap must not overwrite the served TBox's persisted text
+        self._reject_stale(prepared)
         if self._store_path is not None:
             atomic_write_text(self._store_path, tbox_to_text(prepared.tbox))
         with self._lock:
-            if prepared.version <= self._current.version:
-                raise SnapshotError(
-                    f"stale swap: v{prepared.version} <= current "
-                    f"v{self._current.version}"
-                )
+            self._reject_stale(prepared)
             old, self._current = self._current, prepared
             self._chain.append(prepared)
         old.retire()
         with self._lock:
             self._chain = [s for s in self._chain if not s.released]
         _obs.incr("serve.tbox_swaps")
-        _obs.incr(
-            "serve.incremental_swaps"
-            if prepared.swap_mode == "incremental"
-            else "serve.full_swaps"
-        )
         return old
+
+    def _reject_stale(self, prepared: Snapshot) -> None:
+        if prepared.version <= self._current.version:
+            raise SnapshotError(
+                f"stale swap: v{prepared.version} <= current "
+                f"v{self._current.version}"
+            )
 
     def live(self) -> list[dict]:
         """The MVCC chain: every version whose caches may be resident.

@@ -18,16 +18,16 @@ opens its **own** sqlite instance-store connection — inherited sqlite
 handles are unsafe across ``fork()`` and the backend's pid guard
 (:mod:`repro.instdb.sqlite`) would refuse them.
 
-**Hot swaps** stay cheap at any N: the front appends to the edit log
-and reclassifies *once*, then ships the sealed edit record to every
-worker over the control channel; each worker replays the record's delta
-through its incremental path (:meth:`SnapshotManager.prepare_delta`) —
-an axiom-texts apply plus a delta reclassify, never a full-TBox re-diff
-or re-classification.  Shipments carry the predecessor version; a
-worker whose base doesn't match answers 409 and is restarted (re-forked
-from the front's *current* snapshot), so version skew among live
-workers is bounded by one pending swap — reported as
-``max_version_skew`` in ``/v1/health``.
+**Hot swaps** ship edits, not TBoxes: the front appends to the edit
+log and prepares its own successor, then ships the sealed edit record
+to every worker over the control channel; each worker applies the
+record's axiom texts to its current TBox and prepares the result
+through the same swap path (:meth:`SnapshotManager.prepare_delta`).
+Shipments carry the predecessor version; a worker whose base doesn't
+match answers 409 and is restarted (re-forked from the front's
+*current* snapshot), so version skew among live workers is bounded by
+one pending swap — reported as ``max_version_skew`` in
+``/v1/health``.
 
 **Admission and shares.** The front admits against the *unchanged*
 server-wide limits, so 429/503 thresholds are identical at N=1 and N>1,
@@ -97,7 +97,7 @@ PROXIED_POSTS = frozenset(
 #: how long the front waits for a routing slot before giving up (503);
 #: only reached when every live worker is at its share capacity
 SLOT_WAIT_S = 5.0
-#: ship timeout per worker per swap — a reclassify can be slow
+#: ship timeout per worker per swap — a classification can be slow
 SWAP_SHIP_TIMEOUT_S = 300.0
 #: supervisor death-check cadence
 WATCH_INTERVAL_S = 0.2
@@ -188,7 +188,7 @@ class WorkerServer(ReasoningServer):
     async def _ctl_swap(
         self, payload: dict[str, Any]
     ) -> tuple[int, dict[str, Any]]:
-        """Apply one shipped edit record through the incremental path."""
+        """Apply one shipped edit record and swap its successor in."""
         record = EditRecord.from_json(payload.get("record"))
         if record is None:
             raise BadRequest("swap requires a well-formed record")
@@ -221,7 +221,6 @@ class WorkerServer(ReasoningServer):
             "applied": True,
             "version": prepared.version,
             "swap_mode": prepared.swap_mode,
-            "delta_from_log": prepared.delta_from_log,
         }
 
 
@@ -318,8 +317,6 @@ def run_spawn_worker(spec_path: str) -> int:
     manager = SnapshotManager(
         parse_tbox(spec["tbox"]),
         max_nodes=config.max_nodes,
-        incremental=config.incremental_swap,
-        max_affected_fraction=config.incremental_threshold,
         initial_version=int(spec["version"]),
     )
     _obs.set_recorder(_obs.Recorder())

@@ -109,7 +109,6 @@ class TestStatsFlag:
 
 class TestBenchCommand:
     def test_bench_writes_all_files(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_B8_SCALE", "tiny")
         monkeypatch.setenv("REPRO_B9_SCALE", "tiny")
         monkeypatch.setenv("REPRO_B10_SCALE", "tiny")
         monkeypatch.setenv("REPRO_B11_SCALE", "tiny")
@@ -118,7 +117,10 @@ class TestBenchCommand:
         assert main(["bench", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         written = sorted(p.name for p in tmp_path.glob("BENCH_*.json"))
-        assert written == sorted(f"BENCH_B{i}.json" for i in range(1, 14))
+        # B1-B13; B8 retired with incremental reclassification
+        assert written == sorted(
+            f"BENCH_B{i}.json" for i in range(1, 14) if i != 8
+        )
         assert "non-zero counters" in out
 
     def test_bench_only_subset(self, tmp_path, capsys):

@@ -1,7 +1,14 @@
 """Unit tests for syntactic (axiom_diff) and semantic (tbox_diff) TBox diffing."""
 
 from repro.corpora import animal_tbox, repaired_animal_tbox
-from repro.dl import TBox, axiom_diff, parse_axiom, parse_tbox, tbox_diff
+from repro.dl import (
+    TBox,
+    axiom_diff,
+    change_impact,
+    parse_axiom,
+    parse_tbox,
+    tbox_diff,
+)
 
 
 class TestAxiomDiff:
@@ -90,6 +97,31 @@ class TestAxiomDiff:
         summary = axiom_diff(before, after).summary()
         assert summary.count("+") == 1
         assert summary.count("-") == 1
+
+
+class TestChangeImpact:
+    def test_unchanged_axiom_set_has_empty_impact(self):
+        before = parse_tbox("A [= B\nC [= D")
+        assert change_impact(before, TBox(list(reversed(before.axioms)))) == set()
+
+    def test_impact_is_dependents_plus_added_names(self):
+        before = parse_tbox("A [= B\nC [= A & some r.D\nE [= D")
+        after = parse_tbox("A [= B & New\nC [= A & some r.D\nE [= D")
+        # C's definition mentions the edited A; E never reaches it
+        assert change_impact(before, after) == {"A", "C", "New"}
+
+    def test_general_gci_change_has_no_impact_set(self):
+        before = parse_tbox("A [= B\nC [= B")
+        after = parse_tbox("A [= B\nC [= B\nB & C [= D")
+        assert change_impact(before, after) is None
+
+    def test_edit_reaching_general_gci_vocabulary_has_no_impact_set(self):
+        # the general axiom itself is unchanged, but the edited name B is
+        # part of its vocabulary: no locality argument holds
+        shared = "B & C [= D\nA [= B\nC [= E"
+        before = parse_tbox(shared + "\nB [= E")
+        after = parse_tbox(shared + "\nB [= E & F")
+        assert change_impact(before, after) is None
 
 
 class TestTBoxDiff:

@@ -9,6 +9,7 @@ from repro.dl import (
     Atomic,
     BOTTOM,
     ConceptAssertion,
+    ConceptHierarchy,
     Equivalence,
     Not,
     Or,
@@ -26,6 +27,7 @@ from repro.dl import (
     parse_tbox,
     some,
 )
+from repro.robust import Budget
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -305,3 +307,35 @@ class TestSatCacheCrossSeeding:
             reasoner.classify(algorithm="enhanced")
         assert recorder.counters.get("reasoner.sat_cross_seeds", 0) > 0
         assert recorder.counters.get("reasoner.sat_cache_hits", 0) > 0
+
+
+class TestResolveAlgorithm:
+    """``"auto"`` is resolved once, by the reasoner, for every caller."""
+
+    TBOXES = {
+        "el": "car [= motorvehicle & some size.small\nmotorvehicle [= vehicle",
+        "non_horn": "car [= motorvehicle & ~pickup\npickup [= motorvehicle",
+    }
+
+    @pytest.mark.parametrize(
+        "shape, budgeted, expected",
+        [
+            ("el", False, "saturation"),
+            ("el", True, "enhanced"),
+            ("non_horn", False, "enhanced"),
+            ("non_horn", True, "enhanced"),
+        ],
+    )
+    def test_classify_and_hierarchy_agree(self, shape, budgeted, expected):
+        budget = Budget(max_nodes=10_000) if budgeted else None
+        tbox = parse_tbox(self.TBOXES[shape])
+        reasoner = Reasoner(tbox)
+        assert reasoner.resolve_algorithm("auto", budget) == expected
+        assert reasoner.classify(budget=budget).algorithm == expected
+        direct = ConceptHierarchy(tbox, algorithm="auto", budget=budget)
+        assert direct.algorithm == expected
+
+    def test_explicit_algorithms_pass_through(self):
+        reasoner = Reasoner(parse_tbox(self.TBOXES["el"]))
+        for algorithm in ("enhanced", "brute", "saturation"):
+            assert reasoner.resolve_algorithm(algorithm) == algorithm

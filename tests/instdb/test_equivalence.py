@@ -7,15 +7,19 @@ and every read in the interface is compared, before and after
 materialization and after an incremental refresh against an edited
 TBox.  The refresh itself is additionally checked against the
 from-scratch oracle: refresh(edit) must leave exactly the state a fresh
-materialize under the edited hierarchy produces.
+materialize under the edited hierarchy produces — also when a swap's
+change-impact set prefilters which sources it recomputes.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corpora.generators import random_tbox
+from repro.corpora.generators import random_tbox, random_tbox_edit
 from repro.dl import Reasoner
 from repro.instdb import MemoryBackend, SqliteBackend, materialize, refresh
+from repro.serve.snapshot import SnapshotManager
 
 # a small pool of classified hierarchies; building one per example is
 # the expensive part, the vocabulary variety is what matters
@@ -149,3 +153,51 @@ class TestBackendEquivalence:
         finally:
             for backend in (memory, sqlite, oracle_m, oracle_s):
                 backend.close()
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_edits=st.integers(min_value=1, max_value=4),
+    )
+    def test_refresh_with_change_impact_matches_fresh_materialize(
+        self, seed, n_edits
+    ):
+        """Each swap's impact set prefilters the refresh of both backends."""
+        rng = random.Random(seed)
+        chain = [random_tbox(seed, n_defined=8, n_primitive=5, n_roles=2)]
+        for _ in range(n_edits):
+            chain.append(random_tbox_edit(rng, chain[-1]))
+        # told types over every version's vocabulary: some names are
+        # removed by the chain, others are defined only later
+        names = sorted(set().union(*(tbox.atomic_names() for tbox in chain)))
+        types = [(f"i{k}", rng.choice(names)) for k in range(30)]
+        memory, sqlite = loaded_pair(types, [])
+        try:
+            manager = SnapshotManager(chain[0])
+            closures = {
+                backend: materialize(backend, manager.current.hierarchy).closures
+                for backend in (memory, sqlite)
+            }
+            for tbox in chain[1:]:
+                manager.load_and_swap(tbox)
+                snapshot = manager.current
+                for backend in (memory, sqlite):
+                    closures[backend] = refresh(
+                        backend,
+                        snapshot.hierarchy,
+                        closures[backend],
+                        affected=snapshot.reclassify_affected,
+                    ).closures
+                oracle = MemoryBackend()
+                try:
+                    for individual, concept in types:
+                        oracle.assert_type(individual, concept)
+                    materialize(oracle, snapshot.hierarchy)
+                    assert_equivalent(memory, sqlite)
+                    for individual in oracle.individuals():
+                        assert memory.types(individual) == oracle.types(individual)
+                finally:
+                    oracle.close()
+        finally:
+            memory.close()
+            sqlite.close()

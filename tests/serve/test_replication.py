@@ -375,7 +375,7 @@ class TestServerReplication:
                 "POST", "/v1/tbox", {"tbox": _edit_text(1)}
             )
             assert status == 200
-            assert body["delta_from_log"] is True  # stored delta drove the swap
+            assert body["swap_mode"] == "full"
             with ServerThread(
                 None, _follower_config(tmp_path, _url(primary))
             ) as follower:

@@ -199,21 +199,14 @@ class TestHotSwap:
 
     def test_swap_reports_mode(self, server):
         with server.client() as client:
-            # small additive edit: the delta-driven path handles it
-            status, body = client.request(
-                "POST", "/v1/tbox", {"tbox": VEHICLES + "van [= motorvehicle"}
-            )
-            assert status == 200
-            assert body["swap_mode"] == "incremental"
-            assert "swap_detail" not in body
-            # replacing the whole vocabulary blows the affected-fraction
-            # threshold: the server reports the fallback and its reason
-            status, body = client.request(
-                "POST", "/v1/tbox", {"tbox": "dog [= animal"}
-            )
-            assert status == 200
-            assert body["swap_mode"] == "full"
-            assert body["swap_detail"]
+            # an edit classifies the successor
+            edited = VEHICLES + "van [= motorvehicle"
+            status, body = client.request("POST", "/v1/tbox", {"tbox": edited})
+            assert (status, body["swap_mode"]) == (200, "full")
+            # re-posting the same axioms keeps the served hierarchy
+            status, body = client.request("POST", "/v1/tbox", {"tbox": edited})
+            assert (status, body["swap_mode"]) == (200, "reused")
+            assert body["tbox_version"] == 3
 
     def test_swap_rejects_unparseable_tbox(self, server):
         status, _ = server.request("POST", "/v1/tbox", {"tbox": "car [= ("})

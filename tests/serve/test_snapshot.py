@@ -159,13 +159,19 @@ class TestSnapshotManager:
         with pytest.raises(SnapshotError):
             manager.swap(bare)
 
-    def test_stale_swap_rejected(self):
-        manager = SnapshotManager(vehicles())
+    def test_stale_swap_rejected(self, tmp_path):
+        store = tmp_path / "active.tbox"
+        manager = SnapshotManager(vehicles(), store_path=store)
         first = manager.prepare(parse_tbox("dog [= animal"))
         second = manager.prepare(parse_tbox("cat [= animal"))
         manager.swap(second)
         with pytest.raises(SnapshotError):
             manager.swap(first)
+        # the rejected swap left the served TBox's text in the store
+        assert manager.current is second
+        assert parse_tbox(store.read_text(encoding="utf-8")).atomic_names() == {
+            "cat", "animal",
+        }
 
     def test_swap_persists_tbox_text_crash_safely(self, tmp_path):
         store = tmp_path / "active.tbox"
@@ -178,6 +184,8 @@ class TestSnapshotManager:
 
 
 class TestIncrementalSwap:
+    """Swaps to an edited TBox: one path, classified with carried caches."""
+
     def _edited(self):
         return parse_tbox(
             """
@@ -188,18 +196,6 @@ class TestIncrementalSwap:
             """
         )
 
-    def test_small_edit_swaps_incrementally(self):
-        recorder = Recorder()
-        manager = SnapshotManager(vehicles())
-        with use_recorder(recorder):
-            manager.load_and_swap(self._edited())
-        current = manager.current
-        assert current.swap_mode == "incremental"
-        assert current.swap_detail is None
-        assert recorder.counters["serve.incremental_swaps"] == 1
-        assert "serve.full_swaps" not in recorder.counters
-        assert current.hierarchy.parents("van") == frozenset({"motorvehicle"})
-
     def test_incremental_swap_answers_match_full(self):
         manager = SnapshotManager(vehicles())
         manager.load_and_swap(self._edited())
@@ -209,31 +205,15 @@ class TestIncrementalSwap:
         assert got.group_of == full.group_of
         assert got.poset == full.poset
 
-    def test_disabled_manager_always_swaps_full(self):
-        recorder = Recorder()
-        manager = SnapshotManager(vehicles(), incremental=False)
-        with use_recorder(recorder):
-            manager.load_and_swap(self._edited())
-        assert manager.current.swap_mode == "full"
-        assert recorder.counters["serve.full_swaps"] == 1
-        assert "serve.incremental_swaps" not in recorder.counters
-
-    def test_threshold_forces_fallback(self):
-        manager = SnapshotManager(vehicles(), max_affected_fraction=0.0)
-        manager.load_and_swap(self._edited())
-        current = manager.current
-        assert current.swap_mode == "full"
-        assert "fraction" in current.swap_detail
-
     def test_unrelated_tbox_falls_back_to_full(self):
-        # every old name is removed and every new name added: the
-        # affected fraction is 1.0, far past the default threshold
+        # every old name is removed and every new name added: nothing
+        # of the predecessor's survives, the successor is classified
         recorder = Recorder()
         manager = SnapshotManager(vehicles())
         with use_recorder(recorder):
             manager.load_and_swap(parse_tbox("dog [= animal"))
         assert manager.current.swap_mode == "full"
-        assert recorder.counters["serve.full_swaps"] == 1
+        assert recorder.counters["serve.tbox_swaps"] == 1
 
     def test_boot_snapshot_is_a_full_swap(self):
         manager = SnapshotManager(vehicles())
