@@ -33,7 +33,7 @@ from repro.bench import (  # noqa: F401 - re-exported for bench consumers
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="harness",
-        description="run the instrumented B1-B5 benches and write BENCH_*.json",
+        description="run the instrumented substrate benches and write BENCH_*.json",
     )
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument(

@@ -7,6 +7,10 @@ primary.  Once the follower reports having applied every acknowledged
 record, the primary is SIGKILLed mid-flight — the acknowledged edits
 exist nowhere reachable but the two edit logs.  The smoke then:
 
+* keeps two reader threads sending ``/v1/subsumes`` to the follower
+  from before the kill until after the post-promotion write: every
+  read must answer 200 with no transport error, and at least one must
+  complete after the kill;
 * promotes the follower via ``POST /v1/promote`` and checks the
   promotion response names the exact last acknowledged version
   (``lost acked edits == 0``);
@@ -19,20 +23,23 @@ exist nowhere reachable but the two edit logs.  The smoke then:
   to come back *fenced*: writes refused with 503 and a ``primary``
   pointer at the promoted follower.
 
-Run it twice in CI: once clean, once with ``REPRO_FAULTS=torn-write``
-(appends tear on both logs and must be recovered before any ack) —
-failover must lose nothing either way.  Exits non-zero with a message
-on any violated expectation.
+Run it three times in CI: clean, with ``REPRO_FAULTS=torn-write``
+(appends tear on both logs and must be recovered before any ack), and
+with the replication fault matrix (dropped, duplicated and truncated
+pull batches) on top — failover must lose nothing either way.  Exits
+non-zero with a message on any violated expectation.
 """
 
 import http.client
 import json
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -54,6 +61,9 @@ EDITS = [
 ]
 
 POST_PROMOTION_EDIT = EDITS[-1] + "tractor [= motorvehicle\n"
+
+#: the names the follower readers ask about
+READ_NAMES = sorted(parse_tbox(BOOT_TBOX).atomic_names())
 
 faults_armed = bool(os.environ.get("REPRO_FAULTS"))
 
@@ -111,6 +121,65 @@ def terminate(proc):
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait(timeout=15)
+
+
+class Readers:
+    """Threads sending ``/v1/subsumes`` to one server until stopped.
+
+    Each thread holds one keep-alive connection.  A non-200 answer or a
+    transport error is recorded and ends that thread: a read dropped
+    across the failover is exactly what the smoke must catch.
+    """
+
+    def __init__(self, port, count=2):
+        self.port = port
+        self.stop = threading.Event()
+        self.lock = threading.Lock()
+        self.completed = []  # monotonic completion time of every 200
+        self.failures = []
+        self.threads = [
+            threading.Thread(target=self._read, args=(seed,), daemon=True)
+            for seed in range(count)
+        ]
+
+    def _read(self, seed):
+        rng = random.Random(seed)
+        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=30)
+        try:
+            while not self.stop.is_set():
+                general, specific = rng.choice(READ_NAMES), rng.choice(READ_NAMES)
+                body = json.dumps({"general": general, "specific": specific})
+                try:
+                    conn.request(
+                        "POST",
+                        "/v1/subsumes",
+                        body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    response.read()
+                except (OSError, http.client.HTTPException) as exc:
+                    with self.lock:
+                        self.failures.append(f"{type(exc).__name__}: {exc}")
+                    return
+                with self.lock:
+                    if response.status != 200:
+                        self.failures.append(f"HTTP {response.status}")
+                        return
+                    self.completed.append(time.monotonic())
+        finally:
+            conn.close()
+
+    def start(self):
+        for thread in self.threads:
+            thread.start()
+
+    def finish(self):
+        """Stop every thread; False when one is still stuck in a read."""
+        self.stop.set()
+        for thread in self.threads:
+            thread.join(timeout=30)
+        return not any(thread.is_alive() for thread in self.threads)
 
 
 def wait_until(predicate, what, timeout_s=60.0):
@@ -180,6 +249,10 @@ def main():
         )
         if status != 503 or f":{primary_port}" not in (refused.get("primary") or ""):
             fail(f"follower accepted a write: {status} {refused}")
+
+        readers = Readers(follower_port)
+        readers.start()
+        wait_until(lambda: readers.completed or readers.failures, "follower reads")
         print(f"failover_smoke: follower caught up through v{acked}, killing primary")
     except BaseException:
         if follower is not None:
@@ -189,6 +262,7 @@ def main():
         # the crash: SIGKILL, no flush, no shutdown hook
         primary.kill()
         primary.wait(timeout=15)
+    killed_at = time.monotonic()
 
     # ---- phase 2: promote the follower; nothing acknowledged may vanish
     try:
@@ -213,6 +287,18 @@ def main():
         if status != 200 or body.get("tbox_version") != acked + 1:
             fail(f"post-promotion write: {status} {body}")
         print(f"failover_smoke: promoted at v{acked}, first write landed v{acked + 1}")
+
+        if not readers.finish():
+            fail("a follower read hung past its 30 s timeout")
+        if readers.failures:
+            fail(f"follower reads failed across the failover: {readers.failures[:3]}")
+        after_kill = sum(1 for t in readers.completed if t > killed_at)
+        if not after_kill:
+            fail("no follower read completed after the primary's kill")
+        print(
+            f"failover_smoke: {len(readers.completed)} follower reads, all 200 "
+            f"({after_kill} after the kill)"
+        )
 
         # ---- phase 3: the resurrected ex-primary must come back fenced
         zombie, zombie_port, _ = spawn(

@@ -4,7 +4,7 @@
 Boots ``python -m repro serve --workers 2`` as a real subprocess, then:
 
 * routes named checks through the pool and verifies the health block
-  (2 workers up, fork/spawn start method, zero version skew);
+  (2 workers up, zero version skew);
 * starts a background mixed load from several keep-alive threads;
 * SIGKILLs one worker pid (taken from ``/v1/health``) **mid-load** and
   asserts that

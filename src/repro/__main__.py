@@ -11,8 +11,8 @@ Usage::
 
 ``critique`` runs the full three-part analysis and prints the report;
 ``classify`` prints the inferred hierarchy; ``check`` reports coherence
-and unsatisfiable names; ``bench`` runs the instrumented B1–B12 substrate
-benches and writes one ``BENCH_<id>.json`` snapshot each; ``serve``
+and unsatisfiable names; ``bench`` runs the instrumented substrate benches
+(B1–B6, B10, B12) and writes one ``BENCH_<id>.json`` snapshot each; ``serve``
 starts the long-lived batched reasoning service (:mod:`repro.serve`);
 ``abox`` loads, materializes, and queries a DB-backed instance store
 (:mod:`repro.instdb`) without a server.
@@ -175,8 +175,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # imported here so that `serve` does not load the bench harness
     from .bench import BENCHES, run_bench, write_record
 
+    unknown = [bench_id for bench_id in args.only or () if bench_id not in BENCHES]
+    if unknown:
+        print(
+            f"bench: unknown id(s) {', '.join(unknown)}; expected one of "
+            f"{', '.join(sorted(BENCHES))}",
+            file=sys.stderr,
+        )
+        raise SystemExit(EXIT_USAGE)
     ids = args.only or sorted(BENCHES)
     for bench_id in ids:
         record = run_bench(bench_id)
@@ -247,13 +256,6 @@ def _cmd_abox(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_serve_worker(args: argparse.Namespace) -> int:
-    """Internal: one spawn-mode worker (launched by the front process)."""
-    from .serve.workers import run_spawn_worker
-
-    return run_spawn_worker(args.spec)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -285,7 +287,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         abox_backend=args.abox_backend,
         abox_db=args.abox_db,
         workers=args.workers,
-        worker_start_method=args.worker_start_method,
         worker_dir=args.worker_dir,
     )
     # a serving process always records: /v1/metrics is part of the API
@@ -322,8 +323,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if config.workers >= 1:
             block = server.supervisor.health_block()
             print(
-                f"workers: {block['up']}/{block['count']} up "
-                f"({block['start_method']} start) in "
+                f"workers: {block['up']}/{block['count']} up in "
                 f"{server.supervisor.worker_dir}",
                 flush=True,
             )
@@ -418,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_bench = sub.add_parser(
-        "bench", help="run the B1-B12 benches and write BENCH_*.json snapshots"
+        "bench",
+        help="run the substrate benches (B1-B6, B10, B12) and write "
+        "BENCH_*.json snapshots",
     )
     p_bench.add_argument(
         "--out", default=".", help="directory for BENCH_*.json files (default: .)"
@@ -427,11 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         metavar="ID",
-        choices=[
-            "B1", "B2", "B3", "B4", "B5", "B6", "B7", "B9", "B10",
-            "B11", "B12", "B13",
-        ],
-        help="run only this bench (repeatable)",
+        help="run only this bench (repeatable; default: all)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -589,25 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
         "0 = classic single-process server); see README 'Scaling out'",
     )
     p_serve.add_argument(
-        "--worker-start-method",
-        choices=["auto", "fork", "spawn"],
-        default="auto",
-        help="how workers are created: fork shares the classified "
-        "snapshot copy-on-write, spawn reloads the TBox per worker "
-        "(default: auto = fork where available)",
-    )
-    p_serve.add_argument(
         "--worker-dir",
         metavar="DIR",
         help="directory for worker control sockets (default: a tempdir)",
     )
     p_serve.set_defaults(func=_cmd_serve)
-
-    # internal: the spawn-mode worker entry point (launched by the
-    # front process, not by operators)
-    p_worker = sub.add_parser("serve-worker")
-    p_worker.add_argument("--spec", required=True, metavar="FILE")
-    p_worker.set_defaults(func=_cmd_serve_worker)
 
     p_abox = sub.add_parser(
         "abox",

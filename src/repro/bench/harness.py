@@ -1,4 +1,4 @@
-"""Instrumented B1–B12 substrate benches with a JSON snapshot per bench.
+"""Instrumented substrate benches (B1–B6, B10, B12), one JSON record each.
 
 Each bench runs a fixed, seeded workload under a fresh
 :class:`repro.obs.Recorder` and produces one record::
@@ -14,25 +14,28 @@ Each bench runs a fixed, seeded workload under a fresh
       "histograms": {...}         # same summary + p50/p99 quantiles
     }
 
-Schema v2: measurement *distributions* (request latencies, batch sizes,
-per-swap costs) live in ``histograms`` — with p50/p99 from the recorder's
-sample rings — instead of being stashed under ``params``; ``params``
-holds only the workload's reproduction knobs and scalar summaries.
+Schema v2: measurement *distributions* (per-call latencies, per-phase
+costs) live in ``histograms`` — with p50/p99 from the recorder's sample
+rings — instead of being stashed under ``params``; ``params`` holds only
+the workload's reproduction knobs and scalar summaries.
 
-``run_suite`` writes ``BENCH_B1.json`` … ``BENCH_B11.json`` — the perf
+``run_suite`` writes one ``BENCH_<id>.json`` per bench — the work
 trajectory later PRs are compared against.  Counters are deterministic
 for the seeded inputs (two runs differ only in ``wall_time_s`` and timer
 values); the test suite asserts exactly that, so any nondeterminism
-introduced into a hot path is caught here.  The exceptions are B7, B9,
-and B11, which measure live servers (see :class:`BenchSpec.deterministic`).
-B9 — mixed edit+query traffic with a durable edit log and a
-kill-and-recover scenario — takes its scale (``tiny`` / ``small`` /
-``full``) from ``REPRO_B9_SCALE`` so CI smoke runs stay cheap while the
-committed record measures the full stream, as does B10 — saturation vs
-enhanced classification — via ``REPRO_B10_SCALE``, and B12 — the
-DB-backed instance store at 10⁵–10⁶ individuals — via
-``REPRO_B12_SCALE``.  There is no B8: it measured a seeded swap path
-that has since been deleted.
+introduced into a hot path is caught here.  B12 also records wall-clock
+timings under ``params`` (see :class:`BenchSpec.deterministic`); its
+counters are compared on their own.  B10 — saturation vs enhanced
+classification — takes its scale (``tiny`` / ``full``) from
+``REPRO_B10_SCALE``, and B12 — the DB-backed instance store at 10⁵–10⁶
+individuals — from ``REPRO_B12_SCALE``, so CI smoke runs stay cheap
+while the committed records measure the full workloads.
+
+Serving is measured by one benchmark, ``perfbench/`` (declared in
+``BENCHMARK.json``): real ``repro serve`` processes, every answer
+checked against an oracle.  There are no B7, B9, B11 or B13: those
+in-package serving benches duplicated it and were retired.  There is no
+B8 either: it measured a seeded swap path that has since been deleted.
 
 The pytest benches under ``benchmarks/`` still measure *time* with
 pytest-benchmark statistics; this harness complements them with *work*
@@ -71,11 +74,9 @@ class BenchSpec:
     """One bench: an id, a description, and a workload returning its params.
 
     ``deterministic`` marks whether two runs over the seeded inputs
-    produce identical counters.  B1–B6 are; B7 drives a live server
-    through real sockets and a timing-based batch window, so its batch
-    sizes and latencies are load-dependent by nature (the determinism
-    test skips it, the *invariants* — batched-hit reduction, all-200
-    statuses — are asserted inside the workload itself).
+    produce identical counters *and* params.  B12 is not: its params
+    carry wall-clock load and materialization timings (the determinism
+    test skips it; its own test compares the counters alone).
     """
 
     bench_id: str
@@ -344,439 +345,6 @@ def _b6_escalation() -> dict[str, Any]:
     }
 
 
-def _b7_serve() -> dict[str, Any]:
-    """Batched serving vs one-shot calls: throughput, latency, tableau work.
-
-    A 500-request mixed subsumption/satisfiability workload over one
-    seeded TBox, twice:
-
-    * **one-shot baseline** — a fresh :class:`Reasoner` per request, the
-      CLI invocation model (every call re-pays classification-grade
-      tableau work);
-    * **served** — the same workload through ``repro.serve``'s closed-loop
-      load generator against a live batched server, where named checks
-      are answered from the one pre-classified snapshot hierarchy.
-
-    The acceptance invariant (asserted here, not just recorded): serving
-    answers the workload with **≥ 3×** fewer tableau tests than the
-    one-shot baseline.
-    """
-    import random
-
-    from ..corpora.generators import random_tbox
-    from ..dl import Atomic, Reasoner
-    from ..obs import Recorder, get_recorder, use_recorder
-    from ..serve import ServeConfig, ServerThread, closed_loop
-
-    n_requests, concurrency, window_ms = 500, 8, 5.0
-    tbox = random_tbox(0, n_defined=22, n_primitive=8, n_roles=3)
-    names = sorted(tbox.atomic_names())
-    rng = random.Random(42)
-    checks: list[tuple[str, str, str]] = []
-    for _ in range(n_requests):
-        if rng.random() < 0.8:
-            checks.append(("subsumes", rng.choice(names), rng.choice(names)))
-        else:
-            checks.append(("satisfiable", rng.choice(names), ""))
-
-    # one-shot baseline: fresh reasoner per request, counters kept aside
-    baseline = Recorder()
-    with use_recorder(baseline):
-        for kind, a, b in checks:
-            reasoner = Reasoner(tbox)
-            if kind == "subsumes":
-                reasoner.subsumes(Atomic(a), Atomic(b))
-            else:
-                reasoner.is_satisfiable(Atomic(a))
-    one_shot_tests = baseline.counters.get("tableau.solve_calls", 0)
-
-    # served: boot (snapshot pre-classification, off the serving path)
-    # and the serving window are recorded separately — boot is a one-time
-    # cost amortized over the server's lifetime, not per-workload work
-    boot = Recorder()
-    config = ServeConfig(
-        port=0, batch_window_ms=window_ms, batch_max=64, soft_limit=64
-    )
-    with use_recorder(boot):
-        server = ServerThread(tbox, config)
-    served = Recorder()
-    with use_recorder(served):
-        with server:
-            requests = [
-                (
-                    "POST",
-                    f"/v1/{kind}",
-                    {"general": a, "specific": b}
-                    if kind == "subsumes"
-                    else {"concept": a},
-                )
-                for kind, a, b in checks
-            ]
-            report = closed_loop(server, requests, concurrency=concurrency)
-            _status, metrics = server.request("GET", "/v1/metrics")
-    boot_tests = boot.counters.get("tableau.solve_calls", 0)
-    served_tests = served.counters.get("tableau.solve_calls", 0)
-
-    assert not report.errors, report.errors[:3]
-    assert report.status_counts == {200: n_requests}, report.status_counts
-    assert served.counters.get("serve.batched_hits", 0) > 0
-    # the acceptance criterion: the serving path answers the workload with
-    # ≥ 3x fewer tableau tests than 500 isolated one-shot calls ...
-    assert served_tests * 3 <= one_shot_tests, (served_tests, one_shot_tests)
-    # ... and even charging the server its whole boot-time classification,
-    # the total still beats paying per call
-    assert boot_tests + served_tests < one_shot_tests, (
-        boot_tests, served_tests, one_shot_tests,
-    )
-
-    # fold the whole serve-side recorder — counters, timers, and the
-    # batch-size histogram with its sample ring — into the bench record
-    # (schema v2: distributions land in "histograms", not "params"),
-    # and route the client-observed latencies in as a histogram too
-    recorder = get_recorder()
-    recorder.merge(served)
-    for latency in report.latencies_ms:
-        recorder.observe("serve.request_latency_ms", latency)
-    recorder.incr("bench.b7.one_shot_tableau_tests", one_shot_tests)
-    recorder.incr("bench.b7.boot_tableau_tests", boot_tests)
-    recorder.incr("bench.b7.served_tableau_tests", served_tests)
-    assert metrics["metrics"]["histograms"].get("serve.batch_size", {}).get(
-        "count", 0
-    ) > 0, "server recorded no batch sizes"
-    return {
-        "requests": n_requests,
-        "concurrency": concurrency,
-        "batch_window_ms": window_ms,
-        "mix": {"subsumes": 0.8, "satisfiable": 0.2},
-        "tbox": {"seed": 0, "n_defined": 22, "n_primitive": 8, "n_roles": 3},
-        "workload_seed": 42,
-        "one_shot_tableau_tests": one_shot_tests,
-        "boot_tableau_tests": boot_tests,
-        "served_tableau_tests": served_tests,
-        "tableau_test_reduction": one_shot_tests / max(1, served_tests),
-        "throughput_rps": report.throughput_rps(),
-    }
-
-
-#: B9 mixed edit+query scales: (n_defined, n_primitive, queries, edits,
-#: query concurrency, edit interval s, swap throttle ms, p99 factor).
-#: The acceptance factor — mixed-traffic query p99 within ``factor`` ×
-#: the same run's pure-query p99 — is 2 at ``full`` (the committed
-#: record's claim); the CI scales are small enough that one scheduler
-#: hiccup moves a sub-millisecond p99, so they get generous headroom.
-B9_SCALES: dict[str, tuple[int, int, int, int, int, float, float, float]] = {
-    "tiny": (20, 8, 120, 5, 4, 0.02, 10.0, 12.0),
-    "small": (40, 12, 300, 10, 6, 0.03, 20.0, 8.0),
-    # full: edits arrive faster than the swap throttle allows, so the
-    # committed record shows the degradation policy actually coalescing —
-    # the throttle is what keeps query p99 inside the 2x acceptance bound
-    "full": (60, 20, 1500, 30, 8, 0.03, 250.0, 2.0),
-}
-
-
-def _b9_mixed() -> dict[str, Any]:
-    """Closed-loop mixed edit+query traffic, plus kill-and-recover.
-
-    Serving (B7) fused with a TBox edit stream over one live server (:mod:`repro.serve`) in three
-    phases:
-
-    1. **pure-query baseline** — the closed-loop query workload alone,
-       yielding this machine's p50/p99 floor;
-    2. **mixed** — a fresh server with a durable edit log and a swap
-       throttle, the same query workload racing a paced
-       :func:`repro.serve.edit_stream` of ``random_tbox_edit``
-       successors.  Asserts: every query 200, every edit acked 200 with
-       monotonically increasing logged versions, swap-visibility
-       latencies recorded, queries drained while edits published —
-       and the mixed p99 stays within the scale's factor of the
-       baseline p99 (**2× at full scale**, the acceptance criterion);
-    3. **kill-and-recover** — a real ``python -m repro serve`` child
-       with ``--edit-log`` and a huge swap throttle (so acknowledged
-       edits are deliberately *unpublished*), SIGKILLed mid-pending and
-       restarted.  Asserts the restarted server reports the last
-       *acknowledged* version and serves exactly the hierarchy of the
-       last acknowledged TBox: zero lost acknowledged edits.
-
-    Scale via ``REPRO_B9_SCALE`` (``tiny``/``small``/``full``).
-    """
-    import os
-    import random as _random
-    import re
-    import signal
-    import subprocess
-    import sys
-    import tempfile
-    import threading
-
-    from ..corpora.generators import random_tbox, random_tbox_edit
-    from ..dl import Reasoner, parse_tbox
-    from ..dl.serialize import tbox_to_text
-    from ..obs import Recorder, get_recorder, use_recorder
-    from ..serve import (
-        ServeClient,
-        ServeConfig,
-        ServerThread,
-        closed_loop,
-        edit_stream,
-    )
-
-    scale = os.environ.get("REPRO_B9_SCALE", "small")
-    if scale not in B9_SCALES:
-        raise ValueError(
-            f"REPRO_B9_SCALE={scale!r}; expected one of {sorted(B9_SCALES)}"
-        )
-    (
-        n_defined,
-        n_primitive,
-        n_queries,
-        n_edits,
-        concurrency,
-        edit_interval_s,
-        throttle_ms,
-        p99_factor,
-    ) = B9_SCALES[scale]
-
-    tbox = random_tbox(0, n_defined=n_defined, n_primitive=n_primitive, n_roles=3)
-    names = sorted(tbox.atomic_names())
-    rng = _random.Random(99)
-    queries = []
-    for _ in range(n_queries):
-        if rng.random() < 0.8:
-            queries.append(
-                (
-                    "POST",
-                    "/v1/subsumes",
-                    {"general": rng.choice(names), "specific": rng.choice(names)},
-                )
-            )
-        else:
-            queries.append(
-                ("POST", "/v1/satisfiable", {"concept": rng.choice(names)})
-            )
-
-    # the edit chain: successive random edits, shipped as full TBox texts
-    edit_rng = _random.Random(4321)
-    chain_tbox, edit_texts = tbox, []
-    for _ in range(n_edits):
-        chain_tbox = random_tbox_edit(edit_rng, chain_tbox)
-        edit_texts.append(tbox_to_text(chain_tbox))
-    final_tbox = chain_tbox
-
-    # -- phase 1: pure-query baseline ------------------------------------ #
-    config = ServeConfig(port=0, soft_limit=64)
-    with ServerThread(tbox, config) as server:
-        baseline = closed_loop(server, queries, concurrency=concurrency)
-    assert not baseline.errors, baseline.errors[:3]
-    assert baseline.status_counts == {200: n_queries}, baseline.status_counts
-    p99_baseline = baseline.percentile(0.99)
-
-    # -- phase 2: mixed edit+query traffic ------------------------------- #
-    recorder = get_recorder()
-    mixed_recorder = Recorder()
-    with tempfile.TemporaryDirectory() as log_dir:
-        mixed_config = ServeConfig(
-            port=0,
-            soft_limit=64,
-            edit_log=log_dir,
-            min_swap_interval_ms=throttle_ms,
-        )
-        with use_recorder(mixed_recorder):
-            with ServerThread(tbox, mixed_config) as server:
-                edit_report = None
-
-                def editor() -> None:
-                    nonlocal edit_report
-                    edit_report = edit_stream(
-                        server, edit_texts, interval_s=edit_interval_s
-                    )
-
-                editor_thread = threading.Thread(target=editor, daemon=True)
-                editor_thread.start()
-                mixed = closed_loop(server, queries, concurrency=concurrency)
-                editor_thread.join(timeout=120)
-                assert edit_report is not None, "edit stream never finished"
-                # drain: the last deferred/coalesced edit must publish
-                deadline = time.monotonic() + 60
-                while time.monotonic() < deadline:
-                    _status, health = server.request("GET", "/v1/health")
-                    if (
-                        not health["pending_swap"]
-                        and health["tbox_version"] == health["logged_version"]
-                    ):
-                        break
-                    time.sleep(0.02)
-                else:  # pragma: no cover - drain timeout
-                    raise AssertionError(f"pending swap never drained: {health}")
-                _status, classify_body = server.request("POST", "/v1/classify", {})
-                _status, metrics = server.request("GET", "/v1/metrics")
-    recorder.merge(mixed_recorder)
-
-    assert not mixed.errors, mixed.errors[:3]
-    assert mixed.status_counts == {200: n_queries}, mixed.status_counts
-    assert not edit_report.errors, edit_report.errors[:3]
-    assert edit_report.edits == n_edits
-    # acked (logged) versions are assigned in stream order, no gaps lost:
-    # version N+1 follows version N even when publication coalesces
-    assert edit_report.acked_versions == list(range(2, n_edits + 2))
-    # zero lost acknowledged edits on the live path: the drained server
-    # serves exactly the hierarchy of the final acknowledged TBox
-    expected = Reasoner(final_tbox).classify()
-    assert classify_body["groups"] == sorted(
-        sorted(g) for g in expected.groups()
-    ), "drained server diverges from the final acknowledged TBox"
-    visibility = metrics["metrics"]["histograms"].get(
-        "serve.swap_visibility_ms", {}
-    )
-    assert visibility.get("count", 0) == n_edits, visibility
-
-    p99_mixed = mixed.percentile(0.99)
-    for latency in mixed.latencies_ms:
-        recorder.observe("bench.b9.mixed_query_latency_ms", latency)
-    for latency in baseline.latencies_ms:
-        recorder.observe("bench.b9.baseline_query_latency_ms", latency)
-    for latency in edit_report.ack_latencies_ms:
-        recorder.observe("bench.b9.edit_ack_ms", latency)
-    recorder.incr("bench.b9.queries", n_queries)
-    recorder.incr("bench.b9.edits", n_edits)
-    for status, count in edit_report.swap_statuses.items():
-        recorder.incr(f"bench.b9.edits_{status}", count)
-    # the acceptance criterion: a continuous edit stream costs queries at
-    # most the scale's factor in p99 (2x at full scale); the 1ms floor
-    # keeps sub-millisecond baselines from amplifying scheduler noise
-    assert p99_mixed <= p99_factor * max(p99_baseline, 1.0), (
-        p99_mixed,
-        p99_baseline,
-        p99_factor,
-    )
-
-    # -- phase 3: kill-and-recover under a real process ------------------ #
-    # only torn-write survives into the child: exhaustion/deadline faults
-    # would make its answers legitimately nondeterministic
-    env = dict(os.environ, PYTHONPATH="src")
-    armed = {
-        kind.strip()
-        for kind in env.get("REPRO_FAULTS", "").split(",")
-        if kind.strip()
-    }
-    env["REPRO_FAULTS"] = ",".join(sorted(armed & {"torn-write"}))
-    recover_edits = edit_texts[: max(2, min(4, n_edits))]
-
-    def spawn(log_dir: str, tbox_path: str) -> tuple[subprocess.Popen, int]:
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--tbox",
-                tbox_path,
-                "--port",
-                "0",
-                "--edit-log",
-                log_dir,
-                "--min-swap-interval-ms",
-                "600000",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
-        port = None
-        for _ in range(20):  # the recovery banner precedes the address line
-            line = process.stdout.readline()
-            if not line:
-                break
-            match = re.search(r"http://[\d.]+:(\d+)", line)
-            if match:
-                port = int(match.group(1))
-                break
-        assert port is not None, "serve child printed no address banner"
-        return process, port
-
-    with tempfile.TemporaryDirectory() as work_dir:
-        tbox_path = os.path.join(work_dir, "boot.tbox")
-        with open(tbox_path, "w", encoding="utf-8") as handle:
-            handle.write(tbox_to_text(tbox))
-        log_dir = os.path.join(work_dir, "editlog")
-        process, port = spawn(log_dir, tbox_path)
-        try:
-            with ServeClient("127.0.0.1", port) as client:
-                acked = 0
-                for text in recover_edits:
-                    status, body = client.request(
-                        "POST", "/v1/tbox", {"tbox": text}
-                    )
-                    assert status == 200, (status, body)
-                    # the huge throttle defers/coalesces every edit: each
-                    # ack is durable but deliberately unpublished
-                    assert body["swap_status"] in {"deferred", "coalesced"}
-                    acked = body["tbox_version"]
-        finally:
-            # SIGKILL mid-pending: no flush, no graceful anything
-            process.kill()
-            process.wait(timeout=30)
-        process, port = spawn(log_dir, tbox_path)
-        try:
-            with ServeClient("127.0.0.1", port) as client:
-                status, health = client.request("GET", "/v1/health")
-                assert status == 200
-                # zero lost acknowledged edits across the crash
-                assert health["tbox_version"] == acked, (health, acked)
-                status, classify_body = client.request(
-                    "POST", "/v1/classify", {}
-                )
-                assert status == 200
-                expected = Reasoner(
-                    parse_tbox(recover_edits[-1])
-                ).classify()
-                assert classify_body["groups"] == sorted(
-                    sorted(g) for g in expected.groups()
-                ), "recovered hierarchy diverges from last acknowledged TBox"
-        finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                process.kill()
-                process.wait(timeout=30)
-    recorder.incr("bench.b9.recover_acked_edits", len(recover_edits))
-    recorder.incr("bench.b9.recovered_version", acked)
-
-    return {
-        "scale": scale,
-        "tbox": {
-            "seed": 0,
-            "n_defined": n_defined,
-            "n_primitive": n_primitive,
-            "n_roles": 3,
-        },
-        "workload_seed": 99,
-        "edit_seed": 4321,
-        "queries": n_queries,
-        "edits": n_edits,
-        "concurrency": concurrency,
-        "edit_interval_s": edit_interval_s,
-        "min_swap_interval_ms": throttle_ms,
-        "mix": {"subsumes": 0.8, "satisfiable": 0.2},
-        "baseline_p50_ms": baseline.percentile(0.5),
-        "baseline_p99_ms": p99_baseline,
-        "mixed_p50_ms": mixed.percentile(0.5),
-        "mixed_p99_ms": p99_mixed,
-        "p99_factor_limit": p99_factor,
-        "p99_ratio": p99_mixed / max(p99_baseline, 1e-9),
-        "baseline_throughput_rps": baseline.throughput_rps(),
-        "mixed_throughput_rps": mixed.throughput_rps(),
-        "edit_ack_p99_ms": edit_report.percentile(0.99),
-        "swap_statuses": edit_report.swap_statuses,
-        "kill_and_recover": {
-            "acked_edits": len(recover_edits),
-            "recovered_version": acked,
-            "lost_acknowledged_edits": 0,
-        },
-    }
-
-
 #: B10 scales: (n_defined, n_primitive, wall-clock reduction floor).
 #: ``tiny`` is the CI smoke scale — it still asserts the ≥5× tableau-test
 #: reduction but skips the wall-clock claim (sub-millisecond runs are
@@ -800,7 +368,7 @@ def _b10_saturation() -> dict[str, Any]:
     B1-scale workload with **≥ 5×** fewer tableau tests — at full scale
     also ≥ 5× less wall-clock (``bench.b10.*_classify_ms`` histograms).
 
-    Scale via ``REPRO_B10_SCALE`` (``tiny``/``full``), like B9.
+    Scale via ``REPRO_B10_SCALE`` (``tiny``/``full``).
     """
     import os
 
@@ -871,300 +439,6 @@ def _b10_saturation() -> dict[str, Any]:
         "saturation_tableau_tests": saturation_tests,
         "tableau_test_reduction": enhanced_tests / max(1, saturation_tests),
         "wall_reduction_floor": min_wall_reduction,
-    }
-
-
-#: B11 failover scales: (n_defined, n_primitive, edits, edit interval s,
-#: reader concurrency, assert the gap beats a cold classification).
-#: ``tiny`` is the CI smoke scale; ``full`` is the committed record,
-#: whose TBox is big enough that a cold classification rebuild costs
-#: visibly more than the warm promotion gap — the acceptance criterion.
-B11_SCALES: dict[str, tuple[int, int, int, float, int, bool]] = {
-    "tiny": (20, 8, 4, 0.02, 3, False),
-    "full": (300, 80, 10, 0.05, 6, True),
-}
-
-
-def _b11_failover() -> dict[str, Any]:
-    """Warm-standby failover under steady traffic: kill the primary,
-    promote the follower, measure the gap, lose nothing.
-
-    One primary and one follower, both real ``python -m repro serve``
-    child processes (:class:`repro.serve.ServeProcess` — only a real
-    process can be SIGKILLed meaningfully):
-
-    1. **steady mixed traffic** — a paced edit stream acks against the
-       primary while closed-loop readers hammer the follower; the
-       follower replicates each sealed record through the snapshot swap
-       publication path (reads stay on warm snapshots throughout);
-    2. **kill -9 mid-traffic** — once the follower reports zero lag,
-       the primary dies with no flush and no goodbye, readers still
-       running; ``POST /v1/promote`` flips the follower under a fresh
-       fencing epoch and the bench measures the **promotion gap**: the
-       wall time from the promote request to the first served query
-       (and to the first acked write).  Asserts the promote response's
-       ``logged_version`` equals the last version the dead primary
-       acked — zero lost acknowledged edits — and, at full scale, that
-       the gap undercuts a cold full classification of the same TBox
-       (the rebuild a standby-less restart would pay);
-    3. **fenced resurrection** — the ex-primary restarts on its old
-       port and must come back already read-only: the new primary's
-       fence retry lands, a write attempt gets 503 + the new primary's
-       location, and the reader thread reports zero dropped reads
-       across the whole failover.
-
-    Scale via ``REPRO_B11_SCALE`` (``tiny``/``full``), like B9/B10.
-    """
-    import os
-    import random as _random
-    import tempfile
-    import threading
-
-    from ..corpora.generators import random_tbox, random_tbox_edit
-    from ..dl import Reasoner, parse_tbox
-    from ..dl.serialize import tbox_to_text
-    from ..obs import get_recorder
-    from ..serve import ServeProcess
-
-    scale = os.environ.get("REPRO_B11_SCALE", "tiny")
-    if scale not in B11_SCALES:
-        raise ValueError(
-            f"REPRO_B11_SCALE={scale!r}; expected one of {sorted(B11_SCALES)}"
-        )
-    (
-        n_defined,
-        n_primitive,
-        n_edits,
-        edit_interval_s,
-        concurrency,
-        assert_gap,
-    ) = B11_SCALES[scale]
-
-    tbox = random_tbox(0, n_defined=n_defined, n_primitive=n_primitive, n_roles=3)
-    names = sorted(tbox.atomic_names())
-    query_rng = _random.Random(99)
-
-    edit_rng = _random.Random(4321)
-    chain_tbox, edit_texts = tbox, []
-    for _ in range(n_edits + 1):  # the last one is the post-promotion write
-        chain_tbox = random_tbox_edit(edit_rng, chain_tbox)
-        edit_texts.append(tbox_to_text(chain_tbox))
-    edit_texts, post_promotion_text = edit_texts[:-1], edit_texts[-1]
-    final_text = edit_texts[-1]
-
-    # the cost a standby-less restart would pay: parse + classify the
-    # final acked TBox from scratch (fresh Reasoner, no warm caches)
-    t0 = time.perf_counter()
-    Reasoner(parse_tbox(final_text)).classify()
-    cold_classify_s = time.perf_counter() - t0
-
-    # children keep durability/replication faults; exhaustion/deadline
-    # would make their answers legitimately nondeterministic
-    env = dict(os.environ, PYTHONPATH="src")
-    armed = {
-        kind.strip()
-        for kind in env.get("REPRO_FAULTS", "").split(",")
-        if kind.strip()
-    }
-    env["REPRO_FAULTS"] = ",".join(
-        sorted(armed & {"torn-write", "repl-drop", "repl-dup", "repl-truncate"})
-    )
-
-    recorder = get_recorder()
-    read_report = {"served": 0, "errors": [], "statuses": {}}
-    readers_stop = threading.Event()
-
-    def reader(follower: ServeProcess) -> None:
-        """Closed-loop reads against the follower until told to stop."""
-        with follower.client() as client:
-            while not readers_stop.is_set():
-                general = query_rng.choice(names)
-                specific = query_rng.choice(names)
-                try:
-                    status, _body = client.request(
-                        "POST",
-                        "/v1/subsumes",
-                        {"general": general, "specific": specific},
-                    )
-                except OSError as exc:  # pragma: no cover - read dropped
-                    read_report["errors"].append(f"{type(exc).__name__}: {exc}")
-                    return
-                with readers_lock:
-                    read_report["served"] += 1
-                    read_report["statuses"][status] = (
-                        read_report["statuses"].get(status, 0) + 1
-                    )
-
-    readers_lock = threading.Lock()
-
-    def wait_for(probe, timeout_s=60.0, what="condition"):
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            try:
-                if probe():
-                    return
-            except OSError:
-                pass
-            time.sleep(0.02)
-        raise AssertionError(f"B11: timed out waiting for {what}")
-
-    with tempfile.TemporaryDirectory() as work_dir:
-        boot_path = os.path.join(work_dir, "boot.tbox")
-        with open(boot_path, "w", encoding="utf-8") as handle:
-            handle.write(tbox_to_text(tbox))
-        primary_log = os.path.join(work_dir, "primary-log")
-        follower_log = os.path.join(work_dir, "follower-log")
-
-        primary = ServeProcess(
-            ["--tbox", boot_path, "--edit-log", primary_log], env=env
-        ).start()
-        follower = ServeProcess(
-            [
-                "--edit-log",
-                follower_log,
-                "--follow",
-                primary.url,
-                "--probe-interval-ms",
-                "40",
-            ],
-            env=env,
-        ).start()
-        try:
-            wait_for(
-                lambda: follower.request("GET", "/v1/health")[1]["tbox_version"]
-                >= 1,
-                what="follower base install",
-            )
-            threads = [
-                threading.Thread(target=reader, args=(follower,), daemon=True)
-                for _ in range(concurrency)
-            ]
-            for thread in threads:
-                thread.start()
-
-            # -- phase 1: steady mixed traffic --------------------------- #
-            acked = 1
-            with primary.client() as editor:
-                for text in edit_texts:
-                    status, body = editor.request(
-                        "POST", "/v1/tbox", {"tbox": text}
-                    )
-                    assert status == 200, (status, body)
-                    acked = body["tbox_version"]
-                    time.sleep(edit_interval_s)
-            assert acked == 1 + n_edits, acked
-            wait_for(
-                lambda: follower.request("GET", "/v1/health")[1]["replication"][
-                    "last_applied_version"
-                ]
-                == acked,
-                what="follower catch-up",
-            )
-
-            # -- phase 2: kill -9, promote, measure the gap -------------- #
-            primary.kill()
-            t_promote = time.perf_counter()
-            status, promoted = follower.request("POST", "/v1/promote", {})
-            assert (status, promoted["promoted"]) == (200, True), promoted
-            # zero lost acknowledged edits across the failover
-            assert promoted["logged_version"] == acked, (promoted, acked)
-            status, _body = follower.request(
-                "POST",
-                "/v1/subsumes",
-                {"general": names[0], "specific": names[-1]},
-            )
-            gap_query_s = time.perf_counter() - t_promote
-            assert status == 200
-            status, swap = follower.request(
-                "POST", "/v1/tbox", {"tbox": post_promotion_text}
-            )
-            gap_write_s = time.perf_counter() - t_promote
-            assert status == 200, (status, swap)
-            assert swap["tbox_version"] == acked + 1, swap
-
-            readers_stop.set()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not read_report["errors"], read_report["errors"][:3]
-            assert set(read_report["statuses"]) == {200}, read_report["statuses"]
-            assert read_report["served"] > 0
-
-            # the promoted server serves the post-promotion TBox exactly
-            status, classify_body = follower.request("POST", "/v1/classify", {})
-            expected = Reasoner(parse_tbox(post_promotion_text)).classify()
-            assert classify_body["groups"] == sorted(
-                sorted(g) for g in expected.groups()
-            ), "promoted follower diverges from the acked edit chain"
-
-            # -- phase 3: the resurrected ex-primary is fenced ----------- #
-            resurrected = ServeProcess(
-                [
-                    "--tbox",
-                    boot_path,
-                    "--edit-log",
-                    primary_log,
-                    "--port",
-                    str(primary.port),
-                ],
-                env=env,
-            ).start()
-            try:
-                wait_for(
-                    lambda: resurrected.request("GET", "/v1/health")[1][
-                        "replication"
-                    ]["fenced"],
-                    what="fence to land on the ex-primary",
-                )
-                status, refused = resurrected.request(
-                    "POST", "/v1/tbox", {"tbox": "dog [= animal"}
-                )
-                assert status == 503, (status, refused)
-                assert refused["primary"] == follower.url, refused
-                _status, ex_health = resurrected.request("GET", "/v1/health")
-            finally:
-                resurrected.terminate()
-        finally:
-            readers_stop.set()
-            primary.kill()
-            follower.terminate()
-
-    recorder.observe("bench.b11.promotion_gap_ms", gap_query_s * 1000.0)
-    recorder.observe("bench.b11.write_gap_ms", gap_write_s * 1000.0)
-    recorder.incr("bench.b11.edits_acked", n_edits)
-    recorder.incr("bench.b11.reads_served", read_report["served"])
-    if assert_gap:
-        assert gap_query_s < cold_classify_s, (
-            f"promotion gap {gap_query_s * 1000:.1f}ms did not beat a cold "
-            f"classification ({cold_classify_s * 1000:.1f}ms)"
-        )
-
-    return {
-        "scale": scale,
-        "tbox": {
-            "seed": 0,
-            "n_defined": n_defined,
-            "n_primitive": n_primitive,
-            "n_roles": 3,
-        },
-        "workload_seed": 99,
-        "edit_seed": 4321,
-        "edits": n_edits,
-        "edit_interval_s": edit_interval_s,
-        "reader_concurrency": concurrency,
-        "reads_served": read_report["served"],
-        "dropped_reads": 0,
-        "acked_version_at_kill": acked,
-        "lost_acknowledged_edits": 0,
-        "promotion_gap_ms": gap_query_s * 1000.0,
-        "write_gap_ms": gap_write_s * 1000.0,
-        "cold_classification_ms": cold_classify_s * 1000.0,
-        "gap_vs_cold_ratio": gap_query_s / max(cold_classify_s, 1e-9),
-        "gap_beats_cold_required": assert_gap,
-        "ex_primary": {
-            "fenced": bool(ex_health["replication"]["fenced"]),
-            "epoch": ex_health["replication"]["epoch"],
-            "writes_refused_to": follower.url,
-        },
     }
 
 
@@ -1397,284 +671,6 @@ def _b12_instance_store() -> dict[str, Any]:
     }
 
 
-#: B13 scaling scales: (worker counts swept, requests per count, reader
-#: concurrency, n_defined, n_primitive).  ``tiny`` is the CI smoke scale
-#: (2 workers, a small workload); ``full`` is the committed record's
-#: 1/2/4/8 sweep under saturation.
-B13_SCALES: dict[str, tuple[tuple[int, ...], int, int, int, int]] = {
-    "tiny": ((1, 2), 150, 6, 20, 8),
-    "full": ((1, 2, 4, 8), 600, 16, 45, 15),
-}
-
-
-def _b13_workers() -> dict[str, Any]:
-    """Multi-worker scaling: rps/p99 vs worker count, swap propagation,
-    and worker-death restart — all against real ``--workers N`` children.
-
-    Three phases per the ISSUE's acceptance criteria:
-
-    1. **throughput sweep** — the B7-shape mixed workload (80% subsumes
-       / 20% satisfiable, closed loop) against ``--workers N`` for each
-       N in the scale, plus a ``--workers 0`` single-process baseline;
-       records rps and p50/p99 per worker count.  The ≥3×-at-4-workers
-       speedup assertion is **core-gated**: on a box with fewer than 4
-       usable CPUs the workers time-slice one core and no fork can
-       manufacture parallel speedup, so the bench instead asserts a
-       no-collapse floor (scaling out must not cost more than ~60% of
-       single-worker throughput to routing overhead) and records
-       ``available_cpus`` so the committed record is honest about why;
-    2. **swap propagation** — one hot edit per worker count, measuring
-       the ack latency (the front classifies once and ships the sealed
-       record, so the ack already covers every live worker) and the
-       time until ``/v1/health`` reports zero version skew; asserts the
-       per-worker skew bound (≤ 1 pending swap at ack, 0 after);
-    3. **worker death under load** — at N=2, SIGKILL one worker pid
-       mid-load; asserts **zero** non-200 responses across the kill
-       (acked requests are never lost — the front retries a dying
-       worker's in-flight proxies on its sibling) and that the
-       supervisor restarts the dead worker at the current version.
-
-    Scale via ``REPRO_B13_SCALE`` (``tiny``/``full``), like B9/B10/B11.
-    """
-    import os
-    import random as _random
-    import signal as _signal
-    import tempfile
-    import threading
-
-    from ..corpora.generators import random_tbox, random_tbox_edit
-    from ..dl.serialize import tbox_to_text
-    from ..obs import get_recorder
-    from ..serve import ServeProcess, closed_loop
-
-    scale = os.environ.get("REPRO_B13_SCALE", "tiny")
-    if scale not in B13_SCALES:
-        raise ValueError(
-            f"REPRO_B13_SCALE={scale!r}; expected one of {sorted(B13_SCALES)}"
-        )
-    worker_counts, n_requests, concurrency, n_defined, n_primitive = B13_SCALES[
-        scale
-    ]
-    try:
-        available_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        available_cpus = os.cpu_count() or 1
-
-    tbox = random_tbox(0, n_defined=n_defined, n_primitive=n_primitive, n_roles=3)
-    names = sorted(tbox.atomic_names())
-    rng = _random.Random(42)
-    requests = []
-    for _ in range(n_requests):
-        if rng.random() < 0.8:
-            requests.append(
-                (
-                    "POST",
-                    "/v1/subsumes",
-                    {"general": rng.choice(names), "specific": rng.choice(names)},
-                )
-            )
-        else:
-            requests.append(
-                ("POST", "/v1/satisfiable", {"concept": rng.choice(names)})
-            )
-    edited = random_tbox_edit(_random.Random(4321), tbox)
-    edited_text = tbox_to_text(edited)
-
-    env = dict(os.environ, PYTHONPATH="src")
-    env.pop("REPRO_FAULTS", None)  # measure serving, not injected faults
-    recorder = get_recorder()
-
-    def wait_for(probe, timeout_s=30.0, what="condition"):
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            try:
-                if probe():
-                    return
-            except OSError:
-                pass
-            time.sleep(0.02)
-        raise AssertionError(f"B13: timed out waiting for {what}")
-
-    def boot(extra_args):
-        return ServeProcess(
-            ["--tbox", boot_path, "--soft-limit", "64", *extra_args],
-            env=env,
-            startup_timeout_s=300.0,
-        ).start()
-
-    with tempfile.TemporaryDirectory() as work_dir:
-        boot_path = os.path.join(work_dir, "boot.tbox")
-        with open(boot_path, "w", encoding="utf-8") as handle:
-            handle.write(tbox_to_text(tbox))
-
-        # ---- phase 1+2: throughput and swap propagation per N -------- #
-        sweep: dict[str, dict[str, Any]] = {}
-        for workers in (0, *worker_counts):
-            server = boot([] if workers == 0 else ["--workers", str(workers)])
-            try:
-                # a short warmup primes worker caches and front routing
-                warm = closed_loop(
-                    server, requests[: max(10, len(requests) // 10)],
-                    concurrency=concurrency,
-                )
-                assert not warm.errors, warm.errors[:3]
-                report = closed_loop(server, requests, concurrency=concurrency)
-                assert not report.errors, report.errors[:3]
-                assert report.status_counts == {200: n_requests}, (
-                    workers, report.status_counts,
-                )
-                # one hot swap: ack latency covers classify-once plus
-                # shipping the sealed record to every live worker
-                t0 = time.perf_counter()
-                status, body = server.request(
-                    "POST", "/v1/tbox", {"tbox": edited_text}
-                )
-                swap_ack_ms = (time.perf_counter() - t0) * 1000.0
-                assert (status, body["swap_status"]) == (200, "applied")
-                propagation_ms = 0.0
-                if workers:
-                    _status, health = server.request("GET", "/v1/health")
-                    block = health["workers"]
-                    assert block["max_version_skew"] <= 1, block
-                    t1 = time.perf_counter()
-                    wait_for(
-                        lambda: server.request("GET", "/v1/health")[1][
-                            "workers"
-                        ]["max_version_skew"]
-                        == 0,
-                        what=f"swap propagation at N={workers}",
-                    )
-                    propagation_ms = swap_ack_ms + (
-                        (time.perf_counter() - t1) * 1000.0
-                    )
-                    # aggregated metrics must merge every worker's
-                    # recorder: the front and each worker swapped once
-                    _status, metrics = server.request("GET", "/v1/metrics")
-                    counters = metrics["metrics"]["counters"]
-                    swaps = counters.get("serve.tbox_swaps", 0)
-                    assert swaps >= workers + 1, (workers, swaps)
-                else:
-                    propagation_ms = swap_ack_ms
-                key = str(workers)
-                sweep[key] = {
-                    "throughput_rps": report.throughput_rps(),
-                    "p50_ms": report.percentile(0.50),
-                    "p99_ms": report.percentile(0.99),
-                    "swap_ack_ms": swap_ack_ms,
-                    "swap_propagation_ms": propagation_ms,
-                }
-                recorder.incr(f"bench.b13.requests_n{key}", report.requests)
-            finally:
-                server.kill()
-
-        # ---- scaling acceptance (core-gated, see docstring) ----------- #
-        base_rps = sweep[str(worker_counts[0])]["throughput_rps"]
-        peak_workers = max(worker_counts)
-        peak_rps = sweep[str(peak_workers)]["throughput_rps"]
-        speedup = peak_rps / max(1e-9, base_rps)
-        gate_met = available_cpus >= 4 and peak_workers >= 4
-        if gate_met:
-            four_rps = sweep["4"]["throughput_rps"]
-            assert four_rps >= 3.0 * base_rps, (
-                f"B13: expected >=3x rps at 4 workers, got "
-                f"{four_rps / max(1e-9, base_rps):.2f}x"
-            )
-        else:
-            # single-core boxes time-slice the pool: demand that the
-            # multi-process plumbing does not collapse throughput
-            assert speedup >= 0.4, (
-                f"B13: scaling out collapsed throughput to "
-                f"{speedup:.2f}x of one worker"
-            )
-
-        # ---- phase 3: worker death under load at N=2 ------------------ #
-        kill_report: dict[str, Any] = {}
-        server = boot(["--workers", "2"])
-        try:
-            statuses: dict[int, int] = {}
-            errors: list[str] = []
-            stop = threading.Event()
-            lock = threading.Lock()
-
-            def hammer():
-                with server.client() as client:
-                    position = 0
-                    while not stop.is_set():
-                        method, path, body = requests[position % len(requests)]
-                        position += 1
-                        try:
-                            status, _ = client.request(method, path, body)
-                        except OSError as exc:
-                            with lock:
-                                errors.append(f"{type(exc).__name__}: {exc}")
-                            return
-                        with lock:
-                            statuses[status] = statuses.get(status, 0) + 1
-
-            threads = [threading.Thread(target=hammer) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            wait_for(
-                lambda: sum(statuses.values()) >= 20, what="load to ramp up"
-            )
-            _status, health = server.request("GET", "/v1/health")
-            victim = health["workers"]["workers"][0]["pid"]
-            os.kill(victim, _signal.SIGKILL)
-            t0 = time.perf_counter()
-            wait_for(
-                lambda: (
-                    lambda block: block["up"] == 2
-                    and block["restarts"] >= 1
-                    and block["max_version_skew"] == 0
-                )(server.request("GET", "/v1/health")[1]["workers"]),
-                what="worker restart after SIGKILL",
-            )
-            restart_ms = (time.perf_counter() - t0) * 1000.0
-            # let traffic keep flowing across the freshly restarted pool
-            time.sleep(0.3)
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            # the acceptance bar: zero dropped acked requests — every
-            # response across the kill was a 200, no transport errors
-            assert not errors, errors[:3]
-            assert set(statuses) == {200}, statuses
-            _status, health = server.request("GET", "/v1/health")
-            assert victim not in {
-                w["pid"] for w in health["workers"]["workers"]
-            }
-            kill_report = {
-                "requests_across_kill": sum(statuses.values()),
-                "restart_ms": restart_ms,
-                "restarts": health["workers"]["restarts"],
-            }
-            recorder.incr(
-                "bench.b13.kill_requests", kill_report["requests_across_kill"]
-            )
-        finally:
-            server.kill()
-
-    return {
-        "scale": scale,
-        "available_cpus": available_cpus,
-        "worker_counts": list(worker_counts),
-        "requests_per_count": n_requests,
-        "concurrency": concurrency,
-        "mix": {"subsumes": 0.8, "satisfiable": 0.2},
-        "tbox": {
-            "seed": 0,
-            "n_defined": n_defined,
-            "n_primitive": n_primitive,
-            "n_roles": 3,
-        },
-        "workload_seed": 42,
-        "sweep": sweep,
-        "speedup_at_peak": speedup,
-        "speedup_gate": "3x-at-4-workers" if gate_met else "no-collapse-floor",
-        "worker_kill": kill_report,
-    }
-
-
 BENCHES: dict[str, BenchSpec] = {
     "B1": BenchSpec(
         "B1", "tableau reasoning + TBox classification (chain, tree, random)", _b1_tableau
@@ -1690,28 +686,10 @@ BENCHES: dict[str, BenchSpec] = {
     "B6": BenchSpec(
         "B6", "budget-governed reasoning and escalation overhead", _b6_escalation
     ),
-    "B7": BenchSpec(
-        "B7",
-        "batched serving throughput/latency vs one-shot reasoning calls",
-        _b7_serve,
-        deterministic=False,
-    ),
-    "B9": BenchSpec(
-        "B9",
-        "mixed edit+query serving with a durable edit log and kill-and-recover",
-        _b9_mixed,
-        deterministic=False,
-    ),
     "B10": BenchSpec(
         "B10",
         "consequence-based saturation vs enhanced tableau classification",
         _b10_saturation,
-    ),
-    "B11": BenchSpec(
-        "B11",
-        "warm-standby failover: kill the primary under load, promote, lose nothing",
-        _b11_failover,
-        deterministic=False,
     ),
     "B12": BenchSpec(
         "B12",
@@ -1720,12 +698,6 @@ BENCHES: dict[str, BenchSpec] = {
         # counters ARE deterministic (row/derivation counts over seeded
         # data — asserted in the harness tests); params carry wall-clock
         # load/materialize timings, which are not
-        deterministic=False,
-    ),
-    "B13": BenchSpec(
-        "B13",
-        "multi-worker scaling: rps/p99 vs worker count, swap propagation, worker death",
-        _b13_workers,
         deterministic=False,
     ),
 }

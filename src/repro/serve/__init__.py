@@ -23,14 +23,14 @@ one-shot CLI invocations that re-parse and re-classify per call:
   path, and can be promoted under a persisted fencing
   epoch (split-brain-safe failover);
 * :mod:`repro.serve.workers` — the multi-worker mode: a routing
-  front process plus N fork-shared (or spawn-loaded) worker processes
+  front process plus N worker processes forked after classification,
   with hot swaps shipped as edit records (``--workers N``);
 * :mod:`repro.serve.control` — the front↔worker control channel
   (HTTP/1.1 over per-worker Unix sockets);
 * :mod:`repro.serve.protocol` — HTTP/1.1 framing and the JSON bodies;
 * :mod:`repro.serve.loadgen` — in-process server thread, subprocess
-  server, client, closed-loop load generator, and edit-stream driver
-  for tests, CI smoke, and the B7/B9/B11 benches.
+  server, and client for the tests (load generation and the serving
+  benchmark live in ``perfbench/``).
 """
 
 from .admission import (
@@ -42,15 +42,7 @@ from .admission import (
 )
 from .batcher import BatchAnswer, Batcher
 from .editlog import EditLog, EditLogError, EditRecord, Recovery
-from .loadgen import (
-    EditReport,
-    LoadReport,
-    ServeClient,
-    ServeProcess,
-    ServerThread,
-    closed_loop,
-    edit_stream,
-)
+from .loadgen import ServeClient, ServeProcess, ServerThread
 from .protocol import BadRequest, HttpRequest, ProtocolError
 from .replication import (
     EpochStore,
@@ -62,13 +54,7 @@ from .replication import (
 from .control import WorkerClient, WorkerProtocolError
 from .server import ReasoningServer, ServeConfig
 from .snapshot import Snapshot, SnapshotError, SnapshotManager
-from .workers import (
-    FrontServer,
-    WorkerServer,
-    WorkerStartError,
-    WorkerSupervisor,
-    run_spawn_worker,
-)
+from .workers import FrontServer, WorkerServer, WorkerStartError, WorkerSupervisor
 
 __all__ = [
     "ReasoningServer",
@@ -91,10 +77,6 @@ __all__ = [
     "ServerThread",
     "ServeClient",
     "ServeProcess",
-    "LoadReport",
-    "EditReport",
-    "closed_loop",
-    "edit_stream",
     "EpochStore",
     "FollowerChannel",
     "ReplicationError",
@@ -108,5 +90,4 @@ __all__ = [
     "slice_allowance",
     "WorkerClient",
     "WorkerProtocolError",
-    "run_spawn_worker",
 ]

@@ -1,32 +1,20 @@
-"""Serving harness utilities: in-process server thread, client, load gen.
+"""Serving harness utilities: in-process server thread, client, subprocess.
 
-Three pieces shared by the test suite, the CI smoke script, and the B7
-bench — none of them belong in the server proper:
+Three pieces shared by the test suite and the smoke scripts — none of
+them belong in the server proper (load generation lives in the serving
+benchmark, ``perfbench/``):
 
 * :class:`ServerThread` — runs a :class:`repro.serve.ReasoningServer`
   on its own event loop in a daemon thread, bound to an ephemeral port;
-  a context manager, so tests and benches get a real TCP server with
-  deterministic teardown;
+  a context manager, so tests get a real TCP server with deterministic
+  teardown;
 * :class:`ServeClient` — a minimal keep-alive JSON client over
   ``http.client`` (stdlib only), one connection per client, safe to use
   from one thread at a time;
-* :func:`closed_loop` — a closed-loop load generator: ``concurrency``
-  worker threads each drain a shared request list back-to-back (next
-  request issued the moment the previous response lands), collecting
-  per-request latency and status counts.  Closed-loop is the right
-  model for the B7 bench: offered load adapts to service rate, so the
-  measured p50/p99 reflect queueing inside the server (batch window,
-  admission), not client-side backlog;
-* :func:`edit_stream` — the B9 companion: drives a chain of TBox texts
-  through ``POST /v1/tbox`` on one connection, recording per-edit ack
-  latency and the ``swap_status`` distribution
-  (applied/deferred/coalesced), so a mixed bench can measure the edit
-  side of the closed loop while :func:`closed_loop` measures queries;
 * :class:`ServeProcess` — a **real** ``python -m repro serve`` child
   process (not a thread): the only honest way to exercise ``kill -9``
-  crash/failover scenarios, used by the B9/B11 kill phases and the
-  recover/failover smoke scripts.  Supports primary and ``--follow``
-  follower invocations alike.
+  crash and failover scenarios, used by the multi-worker end-to-end
+  tests.  Supports primary and ``--follow`` follower invocations alike.
 """
 
 from __future__ import annotations
@@ -39,8 +27,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 import asyncio
@@ -279,162 +265,3 @@ class ServeProcess:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.terminate()
-
-
-# ---------------------------------------------------------------------- #
-# closed-loop load generation
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class LoadReport:
-    """What one closed-loop run measured."""
-
-    latencies_ms: list[float] = field(default_factory=list)
-    status_counts: dict[int, int] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    @property
-    def requests(self) -> int:
-        return len(self.latencies_ms)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank latency percentile in milliseconds (0 when empty)."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def throughput_rps(self) -> float:
-        return self.requests / self.wall_time_s if self.wall_time_s > 0 else 0.0
-
-
-def closed_loop(
-    server: ServerThread,
-    requests: Sequence[tuple[str, str, Optional[dict[str, Any]]]],
-    *,
-    concurrency: int = 8,
-) -> LoadReport:
-    """Drive ``requests`` through ``concurrency`` closed-loop workers.
-
-    Each worker owns one keep-alive connection and pulls the next
-    ``(method, path, body)`` tuple the moment its previous response
-    arrives.  Transport-level failures are recorded, not raised — a load
-    test that dies on its first refused connection measures nothing.
-    """
-    report = LoadReport()
-    lock = threading.Lock()
-    queue = list(requests)
-    position = 0
-
-    def worker() -> None:
-        nonlocal position
-        client = server.client()
-        try:
-            while True:
-                with lock:
-                    if position >= len(queue):
-                        return
-                    index = position
-                    position += 1
-                method, path, body = queue[index]
-                t0 = time.perf_counter()
-                try:
-                    status, _payload = client.request(method, path, body)
-                except (OSError, http.client.HTTPException) as exc:
-                    with lock:
-                        report.errors.append(f"{path}: {type(exc).__name__}: {exc}")
-                    continue
-                elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                with lock:
-                    report.latencies_ms.append(elapsed_ms)
-                    report.status_counts[status] = (
-                        report.status_counts.get(status, 0) + 1
-                    )
-        finally:
-            client.close()
-
-    workers = [
-        threading.Thread(target=worker, daemon=True)
-        for _ in range(max(1, concurrency))
-    ]
-    t0 = time.perf_counter()
-    for thread in workers:
-        thread.start()
-    for thread in workers:
-        thread.join()
-    report.wall_time_s = time.perf_counter() - t0
-    return report
-
-
-# ---------------------------------------------------------------------- #
-# edit-stream generation (the B9 mixed bench's write side)
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class EditReport:
-    """What one :func:`edit_stream` run measured."""
-
-    ack_latencies_ms: list[float] = field(default_factory=list)
-    swap_statuses: dict[str, int] = field(default_factory=dict)
-    acked_versions: list[int] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    @property
-    def edits(self) -> int:
-        return len(self.ack_latencies_ms)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank ack-latency percentile in ms (0 when empty)."""
-        if not self.ack_latencies_ms:
-            return 0.0
-        ordered = sorted(self.ack_latencies_ms)
-        rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-        return ordered[rank]
-
-
-def edit_stream(
-    server: ServerThread,
-    tbox_texts: Sequence[str],
-    *,
-    interval_s: float = 0.0,
-) -> EditReport:
-    """POST each text to ``/v1/tbox`` in order, ``interval_s`` apart.
-
-    One keep-alive connection, edits issued sequentially — a curation
-    stream is a single writer.  Records the ack latency, the reported
-    ``swap_status`` (``applied`` for servers predating the field), and
-    the acknowledged (logged) version of every 200.  Transport errors
-    are recorded, not raised, mirroring :func:`closed_loop`.
-    """
-    report = EditReport()
-    client = server.client()
-    t_start = time.perf_counter()
-    try:
-        for text in tbox_texts:
-            t0 = time.perf_counter()
-            try:
-                status, body = client.request("POST", "/v1/tbox", {"tbox": text})
-            except (OSError, http.client.HTTPException) as exc:
-                report.errors.append(f"/v1/tbox: {type(exc).__name__}: {exc}")
-                continue
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            if status == 200:
-                report.ack_latencies_ms.append(elapsed_ms)
-                swap_status = body.get("swap_status", "applied")
-                report.swap_statuses[swap_status] = (
-                    report.swap_statuses.get(swap_status, 0) + 1
-                )
-                report.acked_versions.append(int(body["tbox_version"]))
-            else:
-                report.errors.append(f"/v1/tbox: HTTP {status}")
-            if interval_s > 0:
-                time.sleep(interval_s)
-    finally:
-        client.close()
-    report.wall_time_s = time.perf_counter() - t_start
-    return report

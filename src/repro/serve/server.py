@@ -79,7 +79,7 @@ from .protocol import (
     verdict_body,
 )
 from .replication import EpochStore, FollowerChannel, post_json
-from .snapshot import SnapshotManager
+from .snapshot import Snapshot, SnapshotManager
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,6 @@ class ServeConfig:
     #: 0 = classic single-process server; N >= 1 = a routing front
     #: process plus N worker processes each holding the snapshot
     workers: int = 0
-    #: "auto" | "fork" | "spawn" — how worker processes are created
-    worker_start_method: str = "auto"
     #: directory for worker control sockets (None = a tempdir)
     worker_dir: Optional[str] = None
     #: whether *this* process materializes the instance store after a
@@ -135,8 +133,9 @@ def _responsive_gil():
     during every swap — each scheduling quantum the preparer holds
     stalls every in-flight response.  1ms quanta cost the preparation a
     few percent and cut the p99 a request pays while racing a swap by
-    roughly the same 5x factor (measured by the B9 mixed bench).  Only
-    one preparation runs at a time, so save/restore does not nest.
+    roughly the same 5x factor (measured on mixed edit+query traffic on
+    one core; EXPERIMENTS.md keeps the numbers).  Only one preparation
+    runs at a time, so save/restore does not nest.
     """
     previous = sys.getswitchinterval()
     sys.setswitchinterval(min(previous, 0.001))
@@ -700,16 +699,10 @@ class ReasoningServer:
         self._logged_version = max(self._logged_version, version)
         record = records[-1] if len(records) == 1 else None
         try:
-            with _responsive_gil():
-                prepared = await asyncio.to_thread(
-                    self.snapshots.prepare, tbox, version=version
-                )
-            old = self.snapshots.swap(prepared)
-            self._observe_visibility(version)
+            _old, prepared = await self._publish(tbox, version, record)
         except Exception:  # noqa: BLE001 - the channel must survive
             _obs.incr("serve.publish_errors")
             return
-        await self._after_publish(old, prepared, record)
         await self._refresh_instdb(prepared)
 
     async def _on_replicated_base(self, version: int) -> None:
@@ -725,15 +718,10 @@ class ReasoningServer:
         tbox = self.editlog.tbox
         self._logged_version = max(self._logged_version, version)
         try:
-            with _responsive_gil():
-                prepared = await asyncio.to_thread(
-                    self.snapshots.prepare, tbox, version=version
-                )
-            old = self.snapshots.swap(prepared)
+            _old, prepared = await self._publish(tbox, version, None)
         except Exception:
             _obs.incr("serve.publish_errors")
             raise
-        await self._after_publish(old, prepared, None)
         await self._refresh_instdb(prepared)
 
     def _classify(self, snapshot) -> tuple[int, dict[str, Any]]:
@@ -862,6 +850,28 @@ class ReasoningServer:
         except Exception:  # noqa: BLE001 - publication must survive
             _obs.incr("instdb.refresh_errors")
 
+    async def _publish(
+        self, tbox: TBox, version: int, record: Optional[EditRecord]
+    ) -> tuple[Snapshot, Snapshot]:
+        """The one publish sequence: prepare, swap, hook, then visibility.
+
+        Classification of the successor runs in a worker thread, so the
+        event loop keeps answering from the current snapshot.  Swap
+        visibility is credited only once :meth:`_after_publish` has
+        returned: on a multi-worker front that hook is the broadcast, and
+        the workers serve every read.  Returns the retired and the
+        installed snapshot; callers keep their own locking, error
+        counting, and instance-store refresh.
+        """
+        with _responsive_gil():
+            prepared = await asyncio.to_thread(
+                self.snapshots.prepare, tbox, version=version
+            )
+        old = self.snapshots.swap(prepared)
+        await self._after_publish(old, prepared, record)
+        self._observe_visibility(version)
+        return old, prepared
+
     async def _after_publish(self, old, prepared, record) -> None:
         """Hook invoked after every snapshot publication.
 
@@ -937,21 +947,13 @@ class ReasoningServer:
                 "axioms": len(tbox),
             }
         try:
-            # classification of the successor runs in a worker thread —
-            # the event loop keeps answering from the current snapshot
-            with _responsive_gil():
-                prepared = await asyncio.to_thread(
-                    self.snapshots.prepare, tbox, version=version
-                )
-            old = self.snapshots.swap(prepared)
-            # multi-worker front: ship the record while _publishing still
+            # multi-worker front: the record ships while _publishing still
             # holds, so broadcasts reach the workers in version order
-            await self._after_publish(old, prepared, record)
+            old, prepared = await self._publish(tbox, version, record)
         finally:
             async with self._swap_lock:
                 self._publishing = False
                 self._last_swap = time.monotonic()
-        self._observe_visibility(prepared.version)
         await self._refresh_instdb(prepared)
         self._kick_publisher()  # an edit may have queued during prepare
         return 200, {
@@ -1005,13 +1007,7 @@ class ReasoningServer:
                 await asyncio.sleep(wait)
                 continue
             try:
-                with _responsive_gil():
-                    prepared = await asyncio.to_thread(
-                        self.snapshots.prepare, tbox, version=version
-                    )
-                old = self.snapshots.swap(prepared)
-                self._observe_visibility(version)
-                await self._after_publish(old, prepared, record)
+                _old, prepared = await self._publish(tbox, version, record)
                 await self._refresh_instdb(prepared)
             except Exception:  # noqa: BLE001 - the publisher must survive
                 _obs.incr("serve.publish_errors")

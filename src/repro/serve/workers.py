@@ -6,16 +6,13 @@ owns the listening TCP socket, the edit log, replication, and admission
 snapshot and answer the reasoning routes over per-worker Unix-domain
 sockets (:mod:`repro.serve.control`).
 
-**Worker creation.** The default (``--worker-start-method fork``, auto
--selected where :func:`os.fork` exists) forks *after* the front has
+**Worker creation.** Workers are forked *after* the front has
 classified, so the hierarchy, the interned tables, and the reasoner
 caches are shared copy-on-write — a worker boots in milliseconds and
-costs no re-classification.  The ``spawn`` fallback writes a spec file
-(TBox text via :mod:`repro.dl.serialize`, version, config) and launches
-``python -m repro serve-worker``; the worker re-classifies at boot,
-which the saturation fast path keeps cheap.  Either way the worker
-opens its **own** sqlite instance-store connection — inherited sqlite
-handles are unsafe across ``fork()`` and the backend's pid guard
+costs no re-classification.  Workers listen on Unix-domain sockets, so
+the pool runs only where :func:`os.fork` exists too.  Each worker opens
+its **own** sqlite instance-store connection — inherited sqlite handles
+are unsafe across ``fork()`` and the backend's pid guard
 (:mod:`repro.instdb.sqlite`) would refuse them.
 
 **Hot swaps** ship edits, not TBoxes: the front appends to the edit
@@ -61,16 +58,13 @@ import dataclasses
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
 import time
 import traceback
 from typing import Any, Optional
 
-from ..dl import parse_tbox
 from ..dl.diff import axiom_diff
-from ..dl.serialize import tbox_to_text
 from ..obs import recorder as _obs
 from .admission import AdmissionError, WorkerShare, slice_allowance
 from .control import WorkerClient
@@ -84,7 +78,6 @@ __all__ = [
     "WorkerServer",
     "WorkerSupervisor",
     "WorkerStartError",
-    "run_spawn_worker",
 ]
 
 #: the read routes the front proxies to workers (writes and the control
@@ -101,6 +94,8 @@ SLOT_WAIT_S = 5.0
 SWAP_SHIP_TIMEOUT_S = 300.0
 #: supervisor death-check cadence
 WATCH_INTERVAL_S = 0.2
+#: how long a (re)started worker may take to answer its first ping
+READY_TIMEOUT_S = 30.0
 
 
 class WorkerStartError(Exception):
@@ -302,34 +297,6 @@ def _run_worker_child(
         os._exit(status)
 
 
-def run_spawn_worker(spec_path: str) -> int:
-    """Entry point for ``python -m repro serve-worker --spec FILE``.
-
-    The spawn fallback: no shared address space, so the spec file
-    carries everything — the TBox text, the version to boot at, the
-    socket path, and the worker's :class:`ServeConfig` as a dict.  The
-    worker classifies at boot (cheap via the saturation fast path) and
-    then behaves exactly like a forked worker.
-    """
-    with open(spec_path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    config = ServeConfig(**spec["config"])
-    manager = SnapshotManager(
-        parse_tbox(spec["tbox"]),
-        max_nodes=config.max_nodes,
-        initial_version=int(spec["version"]),
-    )
-    _obs.set_recorder(_obs.Recorder())
-    index = int(spec["index"])
-    print(f"worker {index} serving on {spec['socket']}", flush=True)
-    asyncio.run(
-        _serve_worker(
-            config, manager, spec["socket"], index, int(spec["parent_pid"])
-        )
-    )
-    return 0
-
-
 # --------------------------------------------------------------------- #
 # the front side
 # --------------------------------------------------------------------- #
@@ -345,12 +312,10 @@ class WorkerHandle:
     socket_path: str
     client: WorkerClient
     pid: Optional[int] = None
-    popen: Optional[subprocess.Popen] = None
     state: str = "starting"  # "starting" | "up" | "dead"
     version: int = 0
     inflight: int = 0
     restarts: int = 0
-    spec_path: Optional[str] = None
 
 
 class WorkerSupervisor:
@@ -363,17 +328,7 @@ class WorkerSupervisor:
     ) -> None:
         if config.workers < 1:
             raise ValueError(f"workers must be >= 1, got {config.workers}")
-        method = config.worker_start_method
-        if method == "auto":
-            method = "fork" if hasattr(os, "fork") else "spawn"
-        if method not in ("fork", "spawn"):
-            raise ValueError(
-                f"worker_start_method must be auto|fork|spawn, got {method!r}"
-            )
-        if method == "fork" and not hasattr(os, "fork"):
-            raise ValueError("fork start method unavailable on this platform")
         self.front = front
-        self.start_method = method
         self._dir_obj: Optional[tempfile.TemporaryDirectory] = None
         if config.worker_dir is None:
             self._dir_obj = tempfile.TemporaryDirectory(prefix="repro-workers-")
@@ -428,10 +383,7 @@ class WorkerSupervisor:
     async def start(self) -> None:
         for handle in self.handles:
             self._launch(handle)
-        timeout = 30.0 if self.start_method == "fork" else 120.0
-        await asyncio.gather(
-            *(self._wait_ready(h, timeout) for h in self.handles)
-        )
+        await asyncio.gather(*(self._wait_ready(h) for h in self.handles))
         self._watch_task = asyncio.create_task(self._watch())
 
     async def stop(self) -> None:
@@ -465,12 +417,6 @@ class WorkerSupervisor:
         handle.state = "starting"
         with contextlib.suppress(FileNotFoundError, OSError):
             os.unlink(handle.socket_path)
-        if self.start_method == "fork":
-            self._launch_fork(handle)
-        else:
-            self._launch_spawn(handle)
-
-    def _launch_fork(self, handle: WorkerHandle) -> None:
         manager = self.front.snapshots
         parent_pid = os.getpid()
         sys.stdout.flush()
@@ -483,42 +429,10 @@ class WorkerSupervisor:
             )
             os._exit(1)  # pragma: no cover - _run_worker_child never returns
         handle.pid = pid
-        handle.popen = None
         handle.version = manager.version
 
-    def _launch_spawn(self, handle: WorkerHandle) -> None:
-        manager = self.front.snapshots
-        spec = {
-            "socket": handle.socket_path,
-            "index": handle.index,
-            "tbox": tbox_to_text(manager.current.tbox),
-            "version": manager.version,
-            "parent_pid": os.getpid(),
-            "config": dataclasses.asdict(handle.config),
-        }
-        handle.spec_path = os.path.join(
-            self.worker_dir, f"worker-{handle.index}.json"
-        )
-        with open(handle.spec_path, "w", encoding="utf-8") as fh:
-            json.dump(spec, fh)
-        src_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing else src_root + os.pathsep + existing
-        )
-        handle.popen = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve-worker", "--spec",
-             handle.spec_path],
-            env=env,
-        )
-        handle.pid = handle.popen.pid
-        handle.version = manager.version
-
-    async def _wait_ready(self, handle: WorkerHandle, timeout_s: float) -> None:
-        deadline = time.monotonic() + timeout_s
+    async def _wait_ready(self, handle: WorkerHandle) -> None:
+        deadline = time.monotonic() + READY_TIMEOUT_S
         while time.monotonic() < deadline:
             if not self._alive(handle):
                 raise WorkerStartError(
@@ -538,12 +452,10 @@ class WorkerSupervisor:
                 return
             await asyncio.sleep(0.02)
         raise WorkerStartError(
-            f"worker {handle.index} not ready after {timeout_s:.0f}s"
+            f"worker {handle.index} not ready after {READY_TIMEOUT_S:.0f}s"
         )
 
     def _alive(self, handle: WorkerHandle) -> bool:
-        if handle.popen is not None:
-            return handle.popen.poll() is None
         if handle.pid is None:
             return False
         try:
@@ -554,7 +466,6 @@ class WorkerSupervisor:
 
     async def _watch(self) -> None:
         """Reap dead workers and restart them from the current snapshot."""
-        timeout = 30.0 if self.start_method == "fork" else 120.0
         while not self._stopping:
             await asyncio.sleep(WATCH_INTERVAL_S)
             for handle in self.handles:
@@ -569,7 +480,7 @@ class WorkerSupervisor:
                     await handle.client.close()
                     handle.client = WorkerClient(handle.socket_path)
                     self._launch(handle)
-                    await self._wait_ready(handle, timeout)
+                    await self._wait_ready(handle)
                 except Exception:  # noqa: BLE001 - retried next tick
                     _obs.incr("workers.restart_failures")
                     handle.state = "dead"
@@ -677,7 +588,6 @@ class WorkerSupervisor:
             )
         return {
             "count": len(self.handles),
-            "start_method": self.start_method,
             "up": sum(1 for h in self.handles if h.state == "up"),
             "restarts": sum(h.restarts for h in self.handles),
             "max_version_skew": max_skew,

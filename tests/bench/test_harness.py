@@ -1,9 +1,9 @@
 """Tests for the JSON bench harness: schema, determinism, coverage.
 
-These encode the PR's acceptance criteria: ``python -m repro bench``
-writes valid ``BENCH_B1.json`` … ``BENCH_B10.json`` whose counters are
-non-zero for at least the tableau, hierarchy, and store subsystems, and
-two runs over the seeded inputs produce identical counter values.
+``python -m repro bench`` writes a valid ``BENCH_<id>.json`` for every
+substrate bench (B1–B6, B10, B12) whose counters are non-zero for at
+least the tableau, hierarchy, and store subsystems, and two runs over
+the seeded inputs produce identical counter values.
 """
 
 import json
@@ -23,10 +23,8 @@ from repro.bench import (
 ALL_IDS = sorted(BENCHES)
 
 # keep the scaled workloads at test scale regardless of the caller's shell
-os.environ.setdefault("REPRO_B9_SCALE", "tiny")
 os.environ.setdefault("REPRO_B10_SCALE", "tiny")
 os.environ.setdefault("REPRO_B12_SCALE", "tiny")
-os.environ.setdefault("REPRO_B13_SCALE", "tiny")
 
 
 @pytest.fixture(scope="module")
@@ -109,74 +107,6 @@ class TestCounterCoverage:
         assert counters["materialize.facts_added"] > 0
         # materialization reaches down into the tableau too
         assert counters["tableau.solve_calls"] > 0
-
-    def test_b7_has_serve_counters(self, suite_records):
-        counters = suite_records["B7"]["counters"]
-        assert counters["serve.batches"] > 0
-        assert counters["serve.batched_hits"] > 0
-        assert counters["serve.admitted"] >= 500
-        params = suite_records["B7"]["params"]
-        assert params["requests"] == 500
-        # the acceptance criterion, re-checked from the committed record:
-        # batched serving beats 500 one-shot calls by >= 3x tableau tests
-        assert (
-            params["served_tableau_tests"] * 3 <= params["one_shot_tableau_tests"]
-        )
-        # schema v2: latency/batch distributions are histograms with
-        # quantiles from the sample rings, not params entries
-        histograms = suite_records["B7"]["histograms"]
-        latency = histograms["serve.request_latency_ms"]
-        assert latency["count"] == params["requests"]
-        assert latency["p99"] >= latency["p50"] > 0
-        batch = histograms["serve.batch_size"]
-        assert batch["count"] > 0
-        assert batch["max"] >= 1
-
-    def test_b9_has_mixed_traffic_counters(self, suite_records):
-        record = suite_records["B9"]
-        counters = record["counters"]
-        params = record["params"]
-        assert counters["bench.b9.queries"] == params["queries"]
-        assert counters["bench.b9.edits"] == params["edits"]
-        assert counters["editlog.appends"] == params["edits"]
-        assert counters["serve.tbox_swaps"] >= 1
-        # the mixed run's query latencies and per-edit ack latencies are
-        # histograms with quantiles, schema-v2 style
-        histograms = record["histograms"]
-        assert (
-            histograms["bench.b9.mixed_query_latency_ms"]["count"]
-            == params["queries"]
-        )
-        assert histograms["bench.b9.edit_ack_ms"]["count"] == params["edits"]
-        assert (
-            histograms["serve.swap_visibility_ms"]["count"] == params["edits"]
-        )
-        # the acceptance shape, re-checked from the record: the mixed p99
-        # stays within the scale's factor of the pure-query p99, and the
-        # crash scenario lost nothing that was acknowledged
-        assert params["mixed_p99_ms"] <= params["p99_factor_limit"] * max(
-            params["baseline_p99_ms"], 1.0
-        )
-        assert params["kill_and_recover"]["lost_acknowledged_edits"] == 0
-        assert params["kill_and_recover"]["recovered_version"] >= 2
-
-    def test_committed_b9_record_shows_mixed_claims(self):
-        """The checked-in BENCH_B9.json carries the full-scale claims:
-        query p99 under a continuous edit stream within 2x the pure-query
-        p99, and kill-and-recover losing zero acknowledged edits."""
-        path = Path(__file__).resolve().parents[2] / "BENCH_B9.json"
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["schema_version"] == SCHEMA_VERSION
-        params = record["params"]
-        assert params["scale"] == "full"
-        assert params["p99_factor_limit"] == 2.0
-        assert params["mixed_p99_ms"] <= 2.0 * max(params["baseline_p99_ms"], 1.0)
-        assert params["kill_and_recover"]["lost_acknowledged_edits"] == 0
-        # the throttle actually degraded swap frequency at full scale:
-        # not every edit in the stream got its own synchronous swap
-        statuses = params["swap_statuses"]
-        assert statuses.get("deferred", 0) + statuses.get("coalesced", 0) > 0
-        assert record["counters"]["editlog.appends"] == params["edits"]
 
     def test_b10_has_saturation_counters(self, suite_records):
         record = suite_records["B10"]
@@ -276,44 +206,6 @@ class TestCounterCoverage:
             < params["bytes"]["memory_estimated_at_big"]
         )
 
-    def test_b13_has_scaling_sweep(self, suite_records):
-        params = suite_records["B13"]["params"]
-        # the sweep covers the single-process baseline plus every N
-        assert "0" in params["sweep"]
-        for workers in params["worker_counts"]:
-            entry = params["sweep"][str(workers)]
-            assert entry["throughput_rps"] > 0
-            assert entry["p99_ms"] >= entry["p50_ms"]
-            assert entry["swap_propagation_ms"] >= entry["swap_ack_ms"]
-        # the worker-kill phase lost nothing (asserted in the bench;
-        # recorded here) and actually restarted a worker
-        assert params["worker_kill"]["requests_across_kill"] > 0
-        assert params["worker_kill"]["restarts"] >= 1
-        assert params["available_cpus"] >= 1
-        assert params["speedup_gate"] in ("3x-at-4-workers", "no-collapse-floor")
-
-    def test_committed_b13_record_shows_scaling(self):
-        """The checked-in BENCH_B13.json carries the full-scale sweep:
-        worker counts 1/2/4/8, the swap-propagation measurements, and a
-        zero-loss worker kill.  The 3x-at-4-workers speedup is only
-        asserted when the record was measured on >=4 usable CPUs — on a
-        smaller box the committed gate is the no-collapse floor, and
-        ``available_cpus`` says so."""
-        path = Path(__file__).resolve().parents[2] / "BENCH_B13.json"
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["schema_version"] == SCHEMA_VERSION
-        params = record["params"]
-        assert params["scale"] == "full"
-        assert params["worker_counts"] == [1, 2, 4, 8]
-        base_rps = params["sweep"]["1"]["throughput_rps"]
-        if params["speedup_gate"] == "3x-at-4-workers":
-            assert params["available_cpus"] >= 4
-            assert params["sweep"]["4"]["throughput_rps"] >= 3.0 * base_rps
-        else:
-            assert params["speedup_at_peak"] >= 0.4
-        assert params["worker_kill"]["requests_across_kill"] > 0
-        assert params["worker_kill"]["restarts"] >= 1
-
     def test_b6_has_robust_counters(self, suite_records):
         counters = suite_records["B6"]["counters"]
         assert counters["robust.exhaustions"] > 0
@@ -335,9 +227,8 @@ class TestDeterminism:
     def test_two_runs_identical_counters(self, bench_id):
         if not BENCHES[bench_id].deterministic:
             pytest.skip(
-                f"{bench_id} records load-dependent measurements (live "
-                "server batches/latencies, or wall-clock params); its "
-                "invariants are asserted inside the workload"
+                f"{bench_id} records wall-clock params; its counters are "
+                "compared by its own test"
             )
         first = run_bench(bench_id)
         second = run_bench(bench_id)

@@ -10,15 +10,19 @@ encode this PR's acceptance criteria directly:
   consistent with exactly one snapshot version — the one they report.
 """
 
+import asyncio
+import random
 import threading
 import time
 
 import pytest
 
-from repro.dl import parse_tbox
+from repro.corpora.generators import random_tbox, random_tbox_edit
+from repro.dl import classify, parse_tbox
+from repro.dl.serialize import tbox_to_text
 from repro.obs import Recorder, use_recorder
 from repro.robust import faults
-from repro.serve import ServeConfig, ServerThread, closed_loop
+from repro.serve import ServeConfig, ServerThread
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +41,20 @@ motorvehicle [= some uses.gasoline
 def server():
     with ServerThread(parse_tbox(VEHICLES)) as live:
         yield live
+
+
+def wait_for_drain(server, timeout_s: float = 30.0) -> None:
+    """Poll /v1/health until every acknowledged edit is published."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        _status, health = server.request("GET", "/v1/health")
+        if (
+            health["tbox_version"] == health["logged_version"]
+            and not health["pending_swap"]
+        ):
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"pending swap never drained: {health}")
 
 
 class TestEndpoints:
@@ -451,15 +469,142 @@ class TestEditLogRecovery:
             assert body["groups"] == sorted(sorted(g) for g in expected.groups())
 
 
-class TestClosedLoop:
-    def test_closed_loop_smoke(self, server):
-        requests = [
-            ("POST", "/v1/subsumes", {"general": "motorvehicle", "specific": "car"}),
-            ("POST", "/v1/satisfiable", {"concept": "pickup"}),
-        ] * 10
-        report = closed_loop(server, requests, concurrency=4)
-        assert not report.errors
-        assert report.requests == 20
-        assert report.status_counts == {200: 20}
-        assert report.percentile(0.99) >= report.percentile(0.50) > 0
-        assert report.throughput_rps() > 0
+class TestLiveEditStream:
+    """A corpus edit chain racing reads through the throttled publisher.
+
+    One client posts six ``random_tbox_edit`` successors back to back
+    over a durable edit log while another thread keeps reading.  Every
+    read answers 200; acks count up without gaps while publication goes
+    from applied to deferred or coalesced; the drained server serves
+    exactly the last acknowledged TBox; and every edit gets exactly one
+    visibility sample.  The torn-write case tears edit-log appends,
+    which must be repaired before each ack.
+    """
+
+    @pytest.mark.parametrize(
+        "plan",
+        [faults.NULL_PLAN, faults.FaultPlan(["torn-write"], period=2)],
+        ids=["clean", "torn-write"],
+    )
+    def test_edit_chain_under_reads(self, tmp_path, plan):
+        base = random_tbox(0, n_defined=20, n_primitive=8, n_roles=3)
+        names = sorted(base.atomic_names())
+        edit_rng = random.Random(4321)
+        chain = [base]
+        for _ in range(6):
+            chain.append(random_tbox_edit(edit_rng, chain[-1]))
+
+        recorder = Recorder()
+        config = ServeConfig(
+            port=0, edit_log=str(tmp_path / "editlog"), min_swap_interval_ms=50.0
+        )
+        statuses, errors = [], []
+        reading, stop = threading.Event(), threading.Event()
+
+        with use_recorder(recorder), faults.use_faults(plan):
+            with ServerThread(base, config) as server:
+
+                def reader():
+                    read_rng = random.Random(99)
+                    with server.client() as client:
+                        while not stop.is_set():
+                            try:
+                                status, _body = client.request(
+                                    "POST",
+                                    "/v1/subsumes",
+                                    {
+                                        "general": read_rng.choice(names),
+                                        "specific": read_rng.choice(names),
+                                    },
+                                )
+                            except Exception as exc:  # noqa: BLE001
+                                errors.append(repr(exc))
+                                return
+                            statuses.append(status)
+                            reading.set()
+
+                thread = threading.Thread(target=reader)
+                thread.start()
+                try:
+                    assert reading.wait(30), "reader never got an answer"
+                    # the throttle counts from boot: once it lapses, the
+                    # first edit publishes synchronously and the rest of
+                    # the back-to-back chain queues behind it
+                    time.sleep(0.06)
+                    acks = []
+                    with server.client() as client:
+                        for tbox in chain[1:]:
+                            status, body = client.request(
+                                "POST", "/v1/tbox", {"tbox": tbox_to_text(tbox)}
+                            )
+                            assert status == 200, body
+                            acks.append((body["tbox_version"], body["swap_status"]))
+                    wait_for_drain(server)
+                finally:
+                    stop.set()
+                    thread.join(timeout=30)
+                assert not thread.is_alive()
+                status, served = server.request("POST", "/v1/classify", {})
+                _status, metrics = server.request("GET", "/v1/metrics")
+
+        assert not errors, errors[:3]
+        assert statuses and set(statuses) == {200}
+        assert [version for version, _ in acks] == list(range(2, 8))
+        assert acks[0][1] == "applied", acks
+        assert {"deferred", "coalesced"} & {swap for _, swap in acks}, acks
+        brute = classify(chain[-1], algorithm="brute")
+        groups = sorted(sorted(g) for g in brute.groups())
+        assert status == 200
+        assert served["tbox_version"] == 7
+        assert served["groups"] == groups
+        assert served["parents"] == {
+            group[0]: sorted(brute.parents(group[0])) for group in groups
+        }
+        assert served["unsatisfiable"] == sorted(brute.equivalents("⊥") - {"⊥"})
+        histograms = metrics["metrics"]["histograms"]
+        assert histograms["serve.swap_visibility_ms"]["count"] == 6
+        if plan is not faults.NULL_PLAN:
+            assert recorder.counters["editlog.torn_writes_recovered"] >= 1
+
+
+class TestPublishOrder:
+    """Swap visibility is credited once the after-publish hook returns.
+
+    On a ``--workers N`` front that hook is the broadcast to the workers,
+    and the workers serve every read: an edit is not visible before the
+    hook is done, on the applied path and the throttled path alike.
+    """
+
+    HOOK_S = 0.05
+
+    @pytest.mark.parametrize(
+        "throttle_ms, swap_status", [(0.0, "applied"), (400.0, "deferred")]
+    )
+    def test_visibility_sample_follows_the_hook(self, throttle_ms, swap_status):
+        recorder = Recorder()
+
+        def samples() -> int:
+            histograms = recorder.snapshot()["histograms"]
+            return histograms.get("serve.swap_visibility_ms", {}).get("count", 0)
+
+        at_hook = []
+
+        async def hook(old, prepared, record):
+            at_hook.append(samples())
+            await asyncio.sleep(self.HOOK_S)
+            at_hook.append(samples())
+
+        # the throttle counts from boot, so the 400 ms case defers the edit
+        config = ServeConfig(port=0, min_swap_interval_ms=throttle_ms)
+        with use_recorder(recorder):
+            with ServerThread(parse_tbox(VEHICLES), config) as server:
+                server.server._after_publish = hook
+                status, body = server.request(
+                    "POST", "/v1/tbox", {"tbox": VEHICLES + "van [= motorvehicle"}
+                )
+                assert (status, body["swap_status"]) == (200, swap_status)
+                wait_for_drain(server)
+        assert at_hook == [0, 0]
+        visibility = recorder.snapshot()["histograms"]["serve.swap_visibility_ms"]
+        assert visibility["count"] == 1
+        assert visibility["min"] >= self.HOOK_S * 1000.0
