@@ -195,14 +195,19 @@ def wait_until(predicate, what, timeout_s=60.0):
 
 
 def main():
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".tbox", delete=False, encoding="utf-8"
-    ) as handle:
-        handle.write(BOOT_TBOX)
-        tbox_path = handle.name
-    primary_log = tempfile.mkdtemp(prefix="failover_smoke_primary_")
-    follower_log = tempfile.mkdtemp(prefix="failover_smoke_follower_")
+    # the TBox file and both edit logs live in one directory that goes
+    # away however the run ends, a failed one included
+    with tempfile.TemporaryDirectory(prefix="failover_smoke_") as workdir:
+        tbox_path = os.path.join(workdir, "boot.tbox")
+        with open(tbox_path, "w", encoding="utf-8") as handle:
+            handle.write(BOOT_TBOX)
+        logs = [os.path.join(workdir, role) for role in ("primary", "follower")]
+        for log in logs:
+            os.mkdir(log)
+        smoke(tbox_path, *logs)
 
+
+def smoke(tbox_path, primary_log, follower_log):
     # ---- phase 1: primary + follower, stream edits, wait for catch-up
     primary, primary_port, _ = spawn(
         ["--tbox", tbox_path, "--edit-log", primary_log]
@@ -333,7 +338,6 @@ def main():
             terminate(zombie)
     finally:
         terminate(follower)
-        os.unlink(tbox_path)
 
 
 if __name__ == "__main__":

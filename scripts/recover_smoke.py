@@ -122,13 +122,18 @@ def terminate(proc):
 
 
 def main():
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".tbox", delete=False, encoding="utf-8"
-    ) as handle:
-        handle.write(BOOT_TBOX)
-        tbox_path = handle.name
-    log_dir = tempfile.mkdtemp(prefix="recover_smoke_editlog_")
+    # the TBox file and the edit log live in one directory that goes
+    # away however the run ends, a failed one included
+    with tempfile.TemporaryDirectory(prefix="recover_smoke_") as workdir:
+        tbox_path = os.path.join(workdir, "boot.tbox")
+        with open(tbox_path, "w", encoding="utf-8") as handle:
+            handle.write(BOOT_TBOX)
+        log_dir = os.path.join(workdir, "editlog")
+        os.mkdir(log_dir)
+        smoke(tbox_path, log_dir)
 
+
+def smoke(tbox_path, log_dir):
     # ---- phase 1: stream edits, then SIGKILL with all of them pending
     proc, port, _banner = spawn(tbox_path, log_dir)
     try:
@@ -196,7 +201,6 @@ def main():
         )
     finally:
         terminate(proc)
-        os.unlink(tbox_path)
 
 
 if __name__ == "__main__":

@@ -376,11 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=["auto", "enhanced", "brute", "saturation"],
         default="auto",
-        help="classification algorithm: auto (default; consequence-based "
-        "saturation when the TBox is Horn/EL, enhanced traversal "
-        "otherwise), enhanced-traversal insertion, the brute-force "
-        "subsumption matrix, or saturation with per-query tableau "
-        "fallback for non-Horn residue",
+        help="classification algorithm: auto (default; saturation "
+        "without a budget, enhanced traversal under one), "
+        "enhanced-traversal insertion, the brute-force subsumption "
+        "matrix, or consequence-based saturation (a non-Horn residue is "
+        "settled by one tableau model per name, or per query under a "
+        "budget)",
     )
     p_classify.add_argument(
         "--budget-nodes",

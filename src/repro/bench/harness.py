@@ -345,14 +345,17 @@ def _b6_escalation() -> dict[str, Any]:
     }
 
 
-#: B10 scales: (n_defined, n_primitive, wall-clock reduction floor).
-#: ``tiny`` is the CI smoke scale — it still asserts the ≥5× tableau-test
-#: reduction but skips the wall-clock claim (sub-millisecond runs are
-#: scheduler-noise-bound); ``full`` is the committed record's B1-scale
-#: workload (the same 30-name TBox B1 classifies) with the ≥5× wall floor.
-B10_SCALES: dict[str, tuple[int, int, int]] = {
-    "tiny": (6, 4, 0),
-    "full": (22, 8, 5),
+#: B10 scales: (n_defined, n_primitive, wall-clock reduction floor,
+#: non-Horn families).  ``tiny`` is the CI smoke scale — it still asserts
+#: the ≥5× tableau-test reduction but skips the wall-clock claim
+#: (sub-millisecond runs are scheduler-noise-bound); ``full`` is the
+#: committed record's B1-scale workload (the same 30-name TBox B1
+#: classifies) with the ≥5× wall floor.  The non-Horn corpus has about
+#: ten names per family: 27 at ``tiny``, and at ``full`` the 81-name
+#: TBox the complex-read serving workload boots with.
+B10_SCALES: dict[str, tuple[int, int, int, int]] = {
+    "tiny": (6, 4, 0, 3),
+    "full": (22, 8, 5, 9),
 }
 
 
@@ -368,11 +371,17 @@ def _b10_saturation() -> dict[str, Any]:
     B1-scale workload with **≥ 5×** fewer tableau tests — at full scale
     also ≥ 5× less wall-clock (``bench.b10.*_classify_ms`` histograms).
 
+    The non-Horn case runs the same comparison on
+    :func:`repro.corpora.nonhorn_tbox`, whose saturation keeps a
+    residue, so the auto default classifies it from one tableau model
+    per name: identical hierarchies, and **≥ 10×** fewer tableau solves
+    (``bench.b10.nonhorn_*``).
+
     Scale via ``REPRO_B10_SCALE`` (``tiny``/``full``).
     """
     import os
 
-    from ..corpora.generators import random_tbox
+    from ..corpora.generators import nonhorn_tbox, random_tbox
     from ..dl import Reasoner
     from ..obs import Recorder, get_recorder, use_recorder
 
@@ -381,37 +390,43 @@ def _b10_saturation() -> dict[str, Any]:
         raise ValueError(
             f"REPRO_B10_SCALE={scale!r}; expected one of {sorted(B10_SCALES)}"
         )
-    n_defined, n_primitive, min_wall_reduction = B10_SCALES[scale]
+    n_defined, n_primitive, min_wall_reduction, families = B10_SCALES[scale]
 
     recorder = get_recorder()
+
+    def classify_both(tbox, prefix):
+        """Enhanced traversal, then the auto default, on fresh reasoners.
+
+        Returns ``(ms, counters)`` of each run, in that order.
+        """
+        hierarchies, runs = [], []
+        for algorithm, label in (("enhanced", "enhanced"), ("auto", "saturation")):
+            run_rec = Recorder()
+            t0 = time.perf_counter()
+            with use_recorder(run_rec):
+                hierarchies.append(Reasoner(tbox).classify(algorithm=algorithm))
+            ms = (time.perf_counter() - t0) * 1000.0
+            recorder.merge(run_rec)
+            recorder.observe(f"bench.b10.{prefix}{label}_classify_ms", ms)
+            runs.append((ms, run_rec.counters))
+        enhanced, fast = hierarchies
+        # the correctness oracle: the auto default IS the enhanced
+        # hierarchy, group for group and edge for edge
+        assert fast.algorithm == "saturation"
+        assert fast.groups() == enhanced.groups()
+        assert fast.group_of == enhanced.group_of
+        assert fast.poset == enhanced.poset
+        assert fast.top_equivalents() == enhanced.top_equivalents()
+        return runs
+
     tbox = random_tbox(0, n_defined=n_defined, n_primitive=n_primitive, n_roles=3)
-
-    enhanced_rec = Recorder()
-    t0 = time.perf_counter()
-    with use_recorder(enhanced_rec):
-        enhanced = Reasoner(tbox).classify(algorithm="enhanced")
-    enhanced_ms = (time.perf_counter() - t0) * 1000.0
-    recorder.merge(enhanced_rec)
-    enhanced_tests = enhanced_rec.counters.get("tableau.solve_calls", 0)
-
-    saturation_rec = Recorder()
-    t0 = time.perf_counter()
-    with use_recorder(saturation_rec):
-        fast = Reasoner(tbox).classify()  # auto resolves to saturation
-    saturation_ms = (time.perf_counter() - t0) * 1000.0
-    recorder.merge(saturation_rec)
-    saturation_tests = saturation_rec.counters.get("tableau.solve_calls", 0)
-
-    # the correctness oracle: saturation IS the enhanced hierarchy,
-    # group for group and edge for edge
-    assert fast.groups() == enhanced.groups()
-    assert fast.group_of == enhanced.group_of
-    assert fast.poset == enhanced.poset
-    assert saturation_rec.counters.get("saturation.rules_fired", 0) > 0
-    assert saturation_rec.counters.get("saturation.tableau_fallbacks", 0) == 0
-
-    recorder.observe("bench.b10.enhanced_classify_ms", enhanced_ms)
-    recorder.observe("bench.b10.saturation_classify_ms", saturation_ms)
+    (enhanced_ms, enhanced_counters), (saturation_ms, counters) = classify_both(
+        tbox, ""
+    )
+    enhanced_tests = enhanced_counters.get("tableau.solve_calls", 0)
+    saturation_tests = counters.get("tableau.solve_calls", 0)
+    assert counters.get("saturation.rules_fired", 0) > 0
+    assert counters.get("saturation.tableau_fallbacks", 0) == 0
     recorder.incr("bench.b10.enhanced_tableau_tests", enhanced_tests)
     recorder.incr("bench.b10.saturation_tableau_tests", saturation_tests)
 
@@ -427,6 +442,19 @@ def _b10_saturation() -> dict[str, Any]:
             enhanced_ms,
             min_wall_reduction,
         )
+
+    nonhorn = nonhorn_tbox(0, families=families, disjunctions=1)
+    names = len(nonhorn.atomic_names())
+    (_, pair_counters), (_, counters) = classify_both(nonhorn, "nonhorn_")
+    pair_solves = pair_counters.get("tableau.solve_calls", 0)
+    model_solves = counters.get("tableau.solve_calls", 0)
+    assert counters.get("hierarchy.models", 0) > 0
+    assert counters.get("saturation.tableau_fallbacks", 0) == 0
+    recorder.incr("bench.b10.nonhorn_enhanced_tableau_solves", pair_solves)
+    recorder.incr("bench.b10.nonhorn_saturation_tableau_solves", model_solves)
+    # one model per name and one for ⊤, plus the few tests they leave
+    assert model_solves * 10 <= pair_solves, (model_solves, pair_solves)
+    assert model_solves <= 2 * names + 1, (model_solves, names)
     return {
         "scale": scale,
         "tbox": {
@@ -439,6 +467,15 @@ def _b10_saturation() -> dict[str, Any]:
         "saturation_tableau_tests": saturation_tests,
         "tableau_test_reduction": enhanced_tests / max(1, saturation_tests),
         "wall_reduction_floor": min_wall_reduction,
+        "nonhorn": {
+            "seed": 0,
+            "families": families,
+            "disjunctions": 1,
+            "names": names,
+        },
+        "nonhorn_enhanced_tableau_solves": pair_solves,
+        "nonhorn_saturation_tableau_solves": model_solves,
+        "nonhorn_solve_reduction": pair_solves / max(1, model_solves),
     }
 
 

@@ -16,6 +16,7 @@ from .campus import (
 from .generators import (
     branching_tbox,
     chain_tbox,
+    nonhorn_tbox,
     random_field,
     random_individuals,
     random_lexicalization,
@@ -63,6 +64,6 @@ __all__ = [
     "PROPERTYLESS_READER",
     "trespass_interpreter", "all_scenarios",
     "campus_space", "campus_properties", "campus_rigidity",
-    "random_tbox", "random_field", "random_lexicalization",
+    "random_tbox", "nonhorn_tbox", "random_field", "random_lexicalization",
     "random_triples", "random_individuals", "chain_tbox", "branching_tbox",
 ]

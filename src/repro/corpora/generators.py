@@ -9,7 +9,18 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..dl import And, Atomic, Subsumption, TBox, at_least, some
+from ..dl import (
+    And,
+    Atomic,
+    Not,
+    Or,
+    Subsumption,
+    TBox,
+    at_least,
+    at_most,
+    only,
+    some,
+)
 from ..semiotics import Lexicalization, SemanticField
 
 
@@ -55,6 +66,49 @@ def random_tbox(
         if not conjuncts:
             conjuncts.append(Atomic(rng.choice(primitive)))
         axioms.append(Subsumption(Atomic(name), And.of(conjuncts)))
+    return TBox(axioms)
+
+
+def nonhorn_tbox(seed: int, *, families: int = 8, disjunctions: int = 3) -> TBox:
+    """A random ALCN TBox of about ``10 * families`` names.
+
+    Modeled on the paper's ontonomies (4)–(11): families of species
+    (CAR/PICKUP, DOG/HORSE) under two genera each, told apart by a size
+    filler, plus the non-Horn axioms a real ontology adds to such a
+    family.  Every family contributes two genera, three species, a used
+    filler, a counted part and two size values; its size values are
+    disjoint (negation), its genera cap the counted part (at-most) and
+    restrict what they use (universal), and ``disjunctions`` families
+    get a covering axiom over their species (disjunction).  Some species
+    link to an earlier family's genus, which keeps the hierarchy
+    connected.
+    """
+    rng = random.Random(seed)
+    axioms = []
+    covered = set(rng.sample(range(families), min(disjunctions, families)))
+    for f in range(families):
+        genus_a, genus_b = Atomic(f"g{f}a"), Atomic(f"g{f}b")
+        species = [Atomic(f"s{f}x{k}") for k in range(3)]
+        used, part = Atomic(f"fuel{f}"), Atomic(f"part{f}")
+        small, big = Atomic(f"small{f}"), Atomic(f"big{f}")
+        count = rng.randint(2, 4)
+        axioms.append(Subsumption(genus_a, some("uses", used)))
+        axioms.append(Subsumption(genus_b, at_least(count, "has", part)))
+        axioms.append(Subsumption(big, Not(small)))
+        axioms.append(Subsumption(genus_a, only("uses", used)))
+        axioms.append(
+            Subsumption(genus_b, at_most(count + rng.randint(1, 2), "has", part))
+        )
+        sizes = [small, big, small if rng.random() < 0.5 else big]
+        for name, size in zip(species, sizes):
+            conjuncts = [genus_a, genus_b, some("size", size)]
+            if f and rng.random() < 0.4:
+                conjuncts.append(some("part", Atomic(f"g{rng.randrange(f)}a")))
+            axioms.append(Subsumption(name, And.of(conjuncts)))
+        if f in covered:
+            axioms.append(
+                Subsumption(And.of([genus_a, genus_b]), Or.of(species[:2]))
+            )
     return TBox(axioms)
 
 

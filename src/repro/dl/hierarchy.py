@@ -5,18 +5,26 @@ Computes the subsumption partial order over the named concepts of a TBox
 
 Four algorithms are available:
 
-``algorithm="auto"`` (the default) resolves to ``"saturation"`` when the
-TBox normalizes entirely into the Horn/EL fragment and the run is not
-budget-governed, and to ``"enhanced"`` otherwise
+``algorithm="auto"`` (the default) resolves to ``"saturation"`` for
+every run without a budget and to ``"enhanced"`` under one
 (:meth:`repro.dl.reasoner.Reasoner.resolve_algorithm`).
 
 ``algorithm="saturation"`` classifies from the consequence-based
 completion of :mod:`repro.dl.saturation`.  With an empty non-Horn
 residue the whole hierarchy is read directly off the saturated subsumer
-bitsets — zero tableau tests.  With residue present, it runs the
-enhanced traversal with the saturation as a *subsumption oracle*:
-queries the oracle can answer definitively never open a tableau, the
-rest fall back per query (counted as ``saturation.tableau_fallbacks``).
+bitsets — zero tableau tests.  With residue present it classifies from
+*models* (Glimm, Horrocks, Motik, Shearer & Stoilos, "A Novel Approach
+to Ontology Classification", JWS 2012): one satisfiability test per name
+(and one for ⊤) keeps its clash-free completion graph, whose root label
+bounds the name's subsumers — a name missing from it is not one.  The
+saturation's True answers, told subsumers included, are the known
+subsumers; only a root-label name that is not known costs a subsumption
+test (``hierarchy.models`` and ``hierarchy.tableau_subsumptions``).
+Both read the hierarchy off per-name subsumer masks with the same code.
+A budgeted ``"saturation"`` run keeps to the governed traversal below,
+with the saturation as a *subsumption oracle*: queries it answers never
+open a tableau, the rest fall back per query (counted as
+``saturation.tableau_fallbacks``).
 
 ``algorithm="enhanced"`` is insertion-based *enhanced-traversal*
 classification in the tradition of Baader, Hollunder, Nebel &
@@ -70,7 +78,8 @@ class ConceptHierarchy:
     subsumers), ``pruned_tests`` (answers derived from the partial order
     already built, enhanced algorithm only), ``tableau_tests``
     (subsumption questions that actually went to the reasoner),
-    ``oracle_hits`` (questions the saturation oracle settled).
+    ``oracle_hits`` (questions the saturation oracle settled),
+    ``models`` (tableau models built, non-Horn saturation path only).
 
     ``algorithm`` records the *resolved* algorithm: a construction with
     ``"auto"`` ends up reading ``"saturation"`` or ``"enhanced"`` here.
@@ -108,6 +117,7 @@ class ConceptHierarchy:
         self.pruned_tests = 0
         self.tableau_tests = 0
         self.oracle_hits = 0
+        self.models = 0
         self._budget = budget
         #: (specific, general) name pairs whose subsumption question
         #: exhausted its budget; empty means the hierarchy is definite
@@ -118,29 +128,32 @@ class ConceptHierarchy:
         algorithm = self._reasoner.resolve_algorithm(algorithm, budget)
         self.algorithm = algorithm
 
-        # the saturation oracle serves saturation runs (hybrid when
-        # residue remains); the pure "enhanced" and "brute" baselines
-        # stay tableau-driven
+        # saturation runs read the saturation (the budgeted hybrid as an
+        # oracle); the pure "enhanced" and "brute" baselines stay
+        # tableau-driven
         if algorithm == "saturation":
             self._oracle = self._reasoner.saturation()
 
         names = sorted(tbox.atomic_names())
         _obs.incr("hierarchy.classifications")
-        told_up = _told_subsumers(tbox) if use_told_subsumers else {}
 
         with _obs.trace(f"hierarchy.classify.{algorithm}"):
-            if algorithm == "brute":
-                groups, edges, top_members = self._classify_brute(names, told_up)
-            elif (
-                algorithm == "saturation"
-                and self._oracle.complete
-                and budget is None
-            ):
-                groups, edges, top_members = self._classify_saturation(names)
+            if algorithm == "saturation" and budget is None:
+                if self._oracle.complete:
+                    groups, edges, top_members = self._classify_saturation(names)
+                else:
+                    groups, edges, top_members = self._classify_models(names)
             else:
-                groups, edges, top_members = self._classify_enhanced(
-                    names, told_up
-                )
+                # only the pairwise algorithms seed from told subsumers
+                told_up = _told_subsumers(tbox) if use_told_subsumers else {}
+                if algorithm == "brute":
+                    groups, edges, top_members = self._classify_brute(
+                        names, told_up
+                    )
+                else:
+                    groups, edges, top_members = self._classify_enhanced(
+                        names, told_up
+                    )
         self._reasoner = self._oracle = None
 
         # shared finalization: lexicographic-minimum representatives,
@@ -184,7 +197,8 @@ class ConceptHierarchy:
             return None
         return self._oracle.subsumes_names(specific_name, general_name)
 
-    def _tableau_subsumes(self, general: Concept, specific: Concept) -> bool:
+    def _subsumes(self, general: Concept, specific: Concept) -> bool:
+        """The saturation oracle's answer if it has one, else the tableau's."""
         if self._oracle is not None:
             answer = self._oracle_answer(general, specific)
             if answer is not None:
@@ -192,6 +206,10 @@ class ConceptHierarchy:
                 _obs.incr("hierarchy.oracle_hits")
                 return answer
             _obs.incr("saturation.tableau_fallbacks")
+        return self._tableau_subsumes(general, specific)
+
+    def _tableau_subsumes(self, general: Concept, specific: Concept) -> bool:
+        """One subsumption test by the reasoner, governed under a budget."""
         self.tableau_tests += 1
         _obs.incr("hierarchy.tableau_subsumptions")
         if self._budget is None:
@@ -245,37 +263,83 @@ class ConceptHierarchy:
 
         Only reachable when the non-Horn residue is empty, where the
         saturation is sound *and complete*: ``a ⊑ b`` iff b's bit is in
-        S(a).  Equivalence classes are groups with identical named
-        subsumer masks, unsatisfiable names carry the ⊥ bit, and
-        ⊤-equivalents appear in S(⊤).  No tableau test is ever run.
+        S(a).  No tableau test is ever run.
+        """
+        sat = self._oracle
+        named = sat.named_mask()
+        subsumers = {name: sat.subsumers_of(name) & named for name in names}
+        return self._read_off(subsumers, sat.subsumers_of(TOP_NAME))
+
+    def _classify_models(
+        self, names: list[str]
+    ) -> tuple[dict[str, list[str]], list[tuple[str, str]], list[str]]:
+        """Complete each name's saturated subsumers from one tableau model.
+
+        The saturation's True answers are sound, so they are the known
+        subsumers.  The root label of a model of the name bounds the
+        rest: a name outside it is not a subsumer, and a name inside it
+        that is not known is asked of the tableau.  Only those questions
+        reach the reasoner's subsumption cache.  A name without a model
+        is unsatisfiable and gets the ⊥ bit; ⊤ gets a model too, which
+        settles the ⊤-equivalent names the same way.
         """
         sat = self._oracle
         atoms = sat.atoms
         named = sat.named_mask()
         bottom_bit = 1 << BOTTOM_ID
-        s_top = sat.subsumers_of(TOP_NAME)
+
+        def subsumers(name: str) -> int:
+            known = sat.subsumers_of(name) & named
+            if known & bottom_bit:
+                return bottom_bit  # the saturation already derived ⊥
+            self.models += 1
+            _obs.incr("hierarchy.models")
+            concept = TOP if name == TOP_NAME else Atomic(name)
+            possible = self._reasoner.model_names(concept)
+            if possible is None:
+                return bottom_bit
+            for other in sorted(possible):
+                atom = atoms.get(other)
+                if not known >> atom & 1 and self._tableau_subsumes(
+                    Atomic(other), concept
+                ):
+                    known |= 1 << atom
+            return known
+
+        top = subsumers(TOP_NAME)
+        return self._read_off({name: subsumers(name) for name in names}, top)
+
+    def _read_off(
+        self, subsumers: dict[str, int], top: int
+    ) -> tuple[dict[str, list[str]], list[tuple[str, str]], list[str]]:
+        """The hierarchy of complete named-subsumer masks.
+
+        ``subsumers`` maps every name, in sorted order, to the saturation
+        atom ids of its named subsumers (itself included), or to the ⊥
+        bit when it is unsatisfiable; ``top`` holds ⊤'s.  Equivalence
+        classes are groups with identical masks, and a name whose bit is
+        in ``top`` is equivalent to ⊤.
+        """
+        atoms = self._oracle.atoms
+        bottom_bit = 1 << BOTTOM_ID
 
         top_members: list[str] = []
         groups_by_mask: dict[int, list[str]] = {}
-        for name in names:  # sorted: group members accumulate sorted
-            subsumers = sat.subsumers_of(name) & named
-            if subsumers & bottom_bit:
+        for name, mask in subsumers.items():  # group members stay sorted
+            if mask & bottom_bit:
                 self._satisfiable[name] = False
                 continue
             self._satisfiable[name] = True
-            atom = atoms.get(name)
-            if atom is not None and s_top >> atom & 1:
+            if top >> atoms.get(name) & 1:
                 top_members.append(name)
                 continue
-            groups_by_mask.setdefault(subsumers, []).append(name)
+            groups_by_mask.setdefault(mask, []).append(name)
 
         groups = {members[0]: members for members in groups_by_mask.values()}
         rep_of: dict[int, str] = {}
         for rep, members in groups.items():
             for member in members:
-                atom = atoms.get(member)
-                if atom is not None:
-                    rep_of[atom] = rep
+                rep_of[atoms.get(member)] = rep
         edges: list[tuple[str, str]] = []
         skip = (1 << TOP_ID) | bottom_bit
         for mask, members in groups_by_mask.items():
@@ -303,7 +367,7 @@ class ConceptHierarchy:
                     subsumes[(a, b)] = True
                     self._told_hit()
                     continue
-                subsumes[(a, b)] = self._tableau_subsumes(Atomic(a), Atomic(b))
+                subsumes[(a, b)] = self._subsumes(Atomic(a), Atomic(b))
 
         # group equivalent names
         grouped: list[list[str]] = []
@@ -334,7 +398,7 @@ class ConceptHierarchy:
         ]
         if maxima:
             (candidate,) = maxima[:1]
-            if self._tableau_subsumes(Atomic(candidate), TOP):
+            if self._subsumes(Atomic(candidate), TOP):
                 top_members = groups.pop(candidate)
                 edges = [(a, b) for a, b in edges if candidate not in (a, b)]
         return groups, edges, top_members
@@ -429,7 +493,7 @@ class ConceptHierarchy:
                         subsumer_memo[node] = False
                         self._pruned()
                         return False
-                result = self._tableau_subsumes(Atomic(nodes[node]), concept)
+                result = self._subsumes(Atomic(nodes[node]), concept)
                 subsumer_memo[node] = result
                 return result
 
@@ -506,7 +570,7 @@ class ConceptHierarchy:
                         self._pruned()
                         return False
                 node_concept = TOP if node == top_id else Atomic(nodes[node])
-                result = self._tableau_subsumes(concept, node_concept)
+                result = self._subsumes(concept, node_concept)
                 subsumee_memo[node] = result
                 return result
 
@@ -742,15 +806,15 @@ def classify(
 ) -> ConceptHierarchy:
     """Classify ``tbox`` and return its inferred hierarchy.
 
-    The default ``algorithm="auto"`` reads the whole hierarchy off the
-    Horn/EL saturation when the TBox normalizes completely (no tableau
-    tests at all) and falls back to enhanced traversal otherwise;
-    ``"saturation"`` forces the consequence-based path (hybrid with
-    per-query tableau fallback when a non-Horn residue remains);
-    ``"brute"`` selects the original pairwise subsumption matrix.  A
-    ``budget`` makes classification governed: it never raises on
-    exhaustion, recording unresolved edges in
-    :attr:`ConceptHierarchy.incomplete` instead.
+    The default ``algorithm="auto"`` is ``"saturation"`` without a
+    budget: the whole hierarchy is read off the Horn/EL saturation when
+    the TBox normalizes completely (no tableau tests at all), and off one
+    tableau model per name when a non-Horn residue remains.  Under a
+    ``budget`` it is ``"enhanced"`` traversal, and ``"saturation"`` is
+    the hybrid with a per-query tableau fallback; ``"brute"`` selects
+    the original pairwise subsumption matrix.  A ``budget`` makes
+    classification governed: it never raises on exhaustion, recording
+    unresolved edges in :attr:`ConceptHierarchy.incomplete` instead.
     """
     return ConceptHierarchy(
         tbox,

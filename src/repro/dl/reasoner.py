@@ -132,6 +132,24 @@ class Reasoner:
             return None
         return extract_interpretation(state)
 
+    def model_names(self, concept: Concept) -> Optional[frozenset[str]]:
+        """The atomic names at the root of one model of ``concept``.
+
+        ``None`` iff ``concept`` is unsatisfiable.  The set bounds the
+        named subsumers of ``concept``: the model places its root in
+        ``concept`` and outside every name the set lacks.  The answer
+        lands in the sat cache, and a cached "unsatisfiable" is
+        returned without running the tableau.
+        """
+        self._check_revision()
+        key = self._tableau.cid(concept)
+        if self._sat_cache.get(key) is False:
+            _obs.incr("reasoner.sat_cache_hits")
+            return None
+        state = self._tableau.find_model(concept)
+        self._sat_cache[key] = state is not None
+        return None if state is None else state.atomic_names()
+
     def known_satisfiability(self, concept: Concept) -> Optional[bool]:
         """The cached satisfiability of ``concept``, or ``None`` if unknown.
 
@@ -241,9 +259,10 @@ class Reasoner:
     def saturation(self) -> "Saturation":
         """The Horn/EL saturation of the TBox, built once per revision.
 
-        Classification uses it as a subsumption oracle (and as the whole
-        algorithm when :attr:`Saturation.complete`), and ``"auto"``
-        resolves against it (:meth:`resolve_algorithm`).
+        Classification reads the whole hierarchy off it when
+        :attr:`Saturation.complete`; otherwise its sound True answers
+        are the known subsumers of the model path, and the oracle of a
+        budgeted saturation run.
         """
         from .saturation import Saturation
 
@@ -255,19 +274,19 @@ class Reasoner:
     def resolve_algorithm(
         self, algorithm: str, budget: Optional[Budget] = None
     ) -> str:
-        """What ``algorithm`` means for this TBox; only ``"auto"`` moves.
+        """What ``algorithm`` means for this run; only ``"auto"`` moves.
 
-        ``"auto"`` resolves to consequence-based saturation when the TBox
-        normalizes entirely into the Horn/EL fragment and the run is
-        unbudgeted, and to enhanced traversal otherwise: a budgeted run
-        must stay on the governed tableau path so exhaustion can be
+        An unbudgeted ``"auto"`` resolves to ``"saturation"``: the
+        hierarchy is read off the Horn/EL saturation when the TBox
+        normalizes completely, and off one tableau model per name when
+        a non-Horn residue remains (:mod:`repro.dl.hierarchy`).  A
+        budgeted ``"auto"`` resolves to enhanced traversal: a budgeted
+        run must stay on the governed tableau path so exhaustion can be
         reported per pair.
         """
         if algorithm != "auto":
             return algorithm
-        if budget is None and self.saturation().complete:
-            return "saturation"
-        return "enhanced"
+        return "saturation" if budget is None else "enhanced"
 
     def classify(
         self,

@@ -22,8 +22,11 @@ Axioms outside the fragment (∀, ≤, ¬, ⊔ on the right, ≥n with n ≥ 2 o
 the left) form the **residue**.  When the residue is empty the computed
 ``S`` is sound *and complete*, so classification needs zero tableau
 tests; otherwise ``S`` stays sound (every derived subsumption is real)
-and the caller routes undecided queries to the tableau per query
-(counted as ``saturation.tableau_fallbacks``).  ``≥n r.C`` on the right
+and classification takes it as each name's known subsumers, bounding
+the rest by one tableau model per name (:mod:`repro.dl.hierarchy`).  A
+budgeted classification asks it first and routes undecided queries to
+the tableau per query (counted as ``saturation.tableau_fallbacks``).
+``≥n r.C`` on the right
 is weakened to ``∃r.C`` — sound always, and complete whenever the
 residue is empty, because a canonical EL model can duplicate successors
 freely with no ∀/≤ constraint to forbid it.

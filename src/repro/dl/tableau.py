@@ -133,6 +133,24 @@ class _State:
     def successors(self, node: int, role: int) -> set[int]:
         return self.edges[node].get(role, set())
 
+    def atomic_names(self, node: int = 0) -> frozenset[str]:
+        """The names of the atomic concepts in ``node``'s label.
+
+        Node 0 is the root: the individual a concept's graph was built
+        for (:meth:`Tableau.find_model`).
+        """
+        table = self.owner.concepts
+        info = self.owner._info
+        names = []
+        mask = self.labels[node]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            cid = low.bit_length() - 1
+            if info[cid].kind == _ATOM:
+                names.append(table[cid].name)
+        return frozenset(names)
+
     def copy(self) -> "_State":
         _obs.incr("tableau.branch_copies")
         s = _State(self.owner)
@@ -293,7 +311,8 @@ class Tableau:
         """A complete clash-free completion graph for ``concept``, or None.
 
         Use :func:`extract_interpretation` to turn the graph into a
-        checkable :class:`repro.dl.interpretation.Interpretation`.
+        checkable :class:`repro.dl.interpretation.Interpretation`, or
+        :meth:`_State.atomic_names` to read the names at its root.
         """
         _obs.incr("tableau.solve_calls")
         state = self._new_state()
@@ -663,7 +682,6 @@ def extract_interpretation(state: _State) -> "Interpretation":
     """
     from .interpretation import Interpretation
 
-    concept_table = state.owner.concepts
     role_table = state.owner.roles
 
     def resolve(node: int) -> int:
@@ -684,13 +702,8 @@ def extract_interpretation(state: _State) -> "Interpretation":
     domain = list(state.labels)
     concepts: dict[str, set[int]] = {}
     for node in domain:
-        mask = state.labels[node]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            concept = concept_table[low.bit_length() - 1]
-            if isinstance(concept, Atomic):
-                concepts.setdefault(concept.name, set()).add(node)
+        for name in state.atomic_names(node):
+            concepts.setdefault(name, set()).add(node)
     roles: dict[str, set[tuple[int, int]]] = {}
     for node in domain:
         source = resolve(node) if state.is_blocked(node) else node

@@ -22,8 +22,9 @@ the successor's reasoner adopts every sat/subsumption cache entry of
 the predecessor's that the edit's change-impact set
 (:func:`repro.dl.diff.change_impact`) leaves valid, then classifies
 with :meth:`repro.dl.Reasoner.classify` — the saturation fast path on
-a Horn/EL TBox, enhanced traversal answering from the carried caches
-otherwise.  An edit whose axiom set equals the predecessor's carries
+a Horn/EL TBox, one tableau model per name otherwise, where carried
+entries settle known-unsatisfiable names and decided subsumption
+tests.  An edit whose axiom set equals the predecessor's carries
 the hierarchy itself, so that classification is a cache hit and the
 successor keeps the predecessor's hierarchy (``swap_mode ==
 "reused"``).
@@ -159,8 +160,9 @@ class Snapshot:
     @property
     def classify_algorithm(self) -> Optional[str]:
         """The resolved classification algorithm behind this version's
-        hierarchy ("saturation" on a fully Horn/EL TBox, "enhanced"
-        otherwise); None once released."""
+        hierarchy ("saturation": read off the Horn/EL saturation, or
+        from one tableau model per name on a non-Horn TBox); None once
+        released."""
         return None if self.hierarchy is None else self.hierarchy.algorithm
 
     @property

@@ -124,11 +124,21 @@ class TestCounterCoverage:
         histograms = record["histograms"]
         assert histograms["bench.b10.enhanced_classify_ms"]["count"] == 1
         assert histograms["bench.b10.saturation_classify_ms"]["count"] == 1
+        # the non-Horn corpus: one model per name and one for ⊤, plus
+        # the tests they leave, against pair tests
+        assert counters["hierarchy.models"] > 0
+        names = params["nonhorn"]["names"]
+        solves = counters["bench.b10.nonhorn_saturation_tableau_solves"]
+        assert solves == params["nonhorn_saturation_tableau_solves"]
+        assert solves <= 2 * names + 1
+        assert solves * 10 <= params["nonhorn_enhanced_tableau_solves"]
+        assert histograms["bench.b10.nonhorn_saturation_classify_ms"]["count"] == 1
 
     def test_committed_b10_record_shows_reduction(self):
         """The checked-in BENCH_B10.json carries the full-scale claims:
         >= 5x fewer tableau tests AND >= 5x less wall-clock than the
-        enhanced baseline on the B1-scale workload."""
+        enhanced baseline on the B1-scale workload, and >= 10x fewer
+        tableau solves on the 81-name non-Horn corpus."""
         path = Path(__file__).resolve().parents[2] / "BENCH_B10.json"
         record = json.loads(path.read_text(encoding="utf-8"))
         assert record["schema_version"] == SCHEMA_VERSION
@@ -147,6 +157,16 @@ class TestCounterCoverage:
         enhanced_ms = histograms["bench.b10.enhanced_classify_ms"]["mean"]
         saturation_ms = histograms["bench.b10.saturation_classify_ms"]["mean"]
         assert saturation_ms * 5 <= enhanced_ms
+        # the complex-read serving corpus: >= 10x fewer tableau solves
+        assert params["nonhorn"] == {
+            "seed": 0,
+            "families": 9,
+            "disjunctions": 1,
+            "names": 81,
+        }
+        assert params["nonhorn_saturation_tableau_solves"] * 10 <= params[
+            "nonhorn_enhanced_tableau_solves"
+        ]
 
     def test_b12_has_instdb_counters(self, suite_records):
         record = suite_records["B12"]

@@ -1,5 +1,8 @@
 """Sanity tests for the corpus data and generators."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.corpora import (
@@ -8,12 +11,16 @@ from repro.corpora import (
     campus_space,
     branching_tbox,
     chain_tbox,
+    nonhorn_tbox,
     random_field,
     random_lexicalization,
     random_tbox,
     random_triples,
 )
+from repro.dl import Saturation, parse_tbox
 from repro.intensional import Rigidity
+
+PERFBENCH_CORPUS = Path(__file__).resolve().parents[2] / "perfbench" / "corpus.py"
 
 
 class TestCampus:
@@ -70,3 +77,17 @@ class TestGenerators:
         assert len(rows) == 50
         assert all(len(r) == 3 for r in rows)
         assert random_triples(5, count=50, n_subjects=5, n_predicates=2, n_objects=5) == rows
+
+    def test_nonhorn_tbox_is_the_complex_read_corpus(self):
+        """The serving benchmark's complex-read TBox, as a TBox."""
+        tbox = nonhorn_tbox(0, families=9, disjunctions=1)
+        assert len(tbox.atomic_names()) == 81
+        assert len(tbox) == 73
+        assert not Saturation(tbox).complete
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_corpus", PERFBENCH_CORPUS
+        )
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        text = corpus.nonhorn_tbox_text(0, families=9, disjunctions=1)
+        assert set(tbox.axioms) == set(parse_tbox(text).axioms)

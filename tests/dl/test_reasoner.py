@@ -322,7 +322,7 @@ class TestResolveAlgorithm:
         [
             ("el", False, "saturation"),
             ("el", True, "enhanced"),
-            ("non_horn", False, "enhanced"),
+            ("non_horn", False, "saturation"),
             ("non_horn", True, "enhanced"),
         ],
     )

@@ -235,9 +235,9 @@ class TestCountersAndReuse:
         assert recorder.counters.get("saturation.tableau_fallbacks", 0) == 0
 
     def test_hybrid_saturation_falls_back_per_query(self):
-        # a non-Horn axiom forces the hybrid path: the oracle answers the
-        # Horn part, the tableau settles the rest — and the counters show
-        # both mechanisms at work
+        # a non-Horn axiom under a budget forces the hybrid path: the
+        # oracle answers the Horn part, the tableau settles the rest — and
+        # the counters show both mechanisms at work
         # A ⊑ C follows through the ∃-chain GCI (so it is *not* a told
         # subsumption the traversal could prune); D's axiom is non-Horn
         tbox = TBox(
@@ -249,7 +249,9 @@ class TestCountersAndReuse:
         )
         recorder = Recorder()
         with use_recorder(recorder):
-            hierarchy = classify(tbox, algorithm="saturation")
+            hierarchy = classify(
+                tbox, algorithm="saturation", budget=Budget(max_nodes=10_000)
+            )
         assert recorder.counters.get("hierarchy.oracle_hits", 0) > 0
         assert recorder.counters.get("saturation.tableau_fallbacks", 0) > 0
         brute = classify(tbox, algorithm="brute")
@@ -310,7 +312,7 @@ def _assert_saturation_matches(tbox: TBox) -> None:
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_tboxes)
 def test_saturation_equals_brute_and_enhanced_on_random_axioms(tbox):
-    """Hybrid saturation (arbitrary ALCQ⁻ axioms, residue or not) agrees."""
+    """Saturation (arbitrary ALCQ⁻ axioms, residue or not) agrees."""
     _assert_saturation_matches(tbox)
 
 
