@@ -1,44 +1,12 @@
-"""B6 — substrate: the two planning ablations added in the extension pass.
+"""B6 — substrate: the join-order planning ablation.
 
-(a) TBox classification with told-subsumer seeding vs full n² tableau
-    calls; (b) join-order selection by index-backed selectivity estimates
-    vs most-bound-first vs static order on a skewed dataset.
+Join-order selection by index-backed selectivity estimates vs
+most-bound-first vs static order on a skewed dataset.
 """
 
 import pytest
 
-from repro.corpora.generators import chain_tbox, random_tbox
-from repro.dl import classify
 from repro.store import Pattern, Query, TripleStore, Var
-
-
-@pytest.mark.parametrize(
-    "use_told", [True, False], ids=["told-seeded", "full-tableau"]
-)
-def test_b6_classification_ablation_chain(benchmark, use_told):
-    """Taxonomic TBox: every positive subsumption is told — seeding shines.
-
-    Pinned to the enhanced traversal: the auto default now answers this
-    Horn/EL corpus by saturation, where told seeding never enters.
-    """
-    tbox = chain_tbox(16)
-    hierarchy = benchmark(
-        classify, tbox, algorithm="enhanced", use_told_subsumers=use_told
-    )
-    assert (hierarchy.told_hits > 0) == use_told
-
-
-@pytest.mark.parametrize(
-    "use_told", [True, False], ids=["told-seeded", "full-tableau"]
-)
-def test_b6_classification_ablation_random(benchmark, use_told):
-    """Relational TBox: most pairs are non-subsumptions the tableau must
-    refute either way — seeding saves only the told fraction."""
-    tbox = random_tbox(11, n_defined=8, n_primitive=4, n_roles=3)
-    hierarchy = benchmark(
-        classify, tbox, algorithm="enhanced", use_told_subsumers=use_told
-    )
-    assert (hierarchy.told_hits > 0) == use_told
 
 
 def skewed_store() -> TripleStore:

@@ -22,7 +22,7 @@ text syntax of :mod:`repro.dl.parser` (one axiom per line, ``#``
 comments).
 
 ``classify`` accepts resource governance flags (see :mod:`repro.robust`):
-``--budget-nodes`` / ``--budget-ms`` bound every subsumption test, and
+``--budget-nodes`` / ``--budget-ms`` bound every tableau model and test, and
 ``--escalate`` geometrically retries an incomplete classification.  A
 hierarchy that still has unresolved edges is printed anyway and exits
 with the distinct code 3 (:data:`EXIT_PARTIAL`) so scripts can tell a
@@ -374,21 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("tbox")
     p_classify.add_argument(
         "--algorithm",
-        choices=["auto", "enhanced", "brute", "saturation"],
-        default="auto",
-        help="classification algorithm: auto (default; saturation "
-        "without a budget, enhanced traversal under one), "
-        "enhanced-traversal insertion, the brute-force subsumption "
-        "matrix, or consequence-based saturation (a non-Horn residue is "
-        "settled by one tableau model per name, or per query under a "
-        "budget)",
+        choices=["saturation", "brute"],
+        default="saturation",
+        help="classification algorithm: saturation (default; read off "
+        "the consequence-based saturation, with one tableau model per "
+        "name for a non-Horn residue; a budget governs each model and "
+        "test) or brute (the pairwise subsumption matrix, the "
+        "correctness oracle)",
     )
     p_classify.add_argument(
         "--budget-nodes",
         type=int,
         metavar="N",
-        help="cap completion-graph nodes per subsumption test; unresolved "
-        f"edges are reported and the exit code becomes {EXIT_PARTIAL}",
+        help="cap completion-graph nodes per tableau model or test; "
+        "unresolved pairs are reported and the exit code becomes "
+        f"{EXIT_PARTIAL}",
     )
     p_classify.add_argument(
         "--budget-ms",

@@ -25,8 +25,8 @@ for the seeded inputs (two runs differ only in ``wall_time_s`` and timer
 values); the test suite asserts exactly that, so any nondeterminism
 introduced into a hot path is caught here.  B12 also records wall-clock
 timings under ``params`` (see :class:`BenchSpec.deterministic`); its
-counters are compared on their own.  B10 — saturation vs enhanced
-classification — takes its scale (``tiny`` / ``full``) from
+counters are compared on their own.  B10 — one classification path,
+budgeted or not — takes its scale (``tiny`` / ``full``) from
 ``REPRO_B10_SCALE``, and B12 — the DB-backed instance store at 10⁵–10⁶
 individuals — from ``REPRO_B12_SCALE``, so CI smoke runs stay cheap
 while the committed records measure the full workloads.
@@ -107,11 +107,10 @@ def _b1_tableau() -> dict[str, Any]:
 
     classify(chain_tbox(classify_depth))
     classify(random_tbox(11, n_defined=6, n_primitive=4, n_roles=3))
-    # the large told-structured TBox (30 named concepts).  The auto
-    # default classifies this Horn/EL corpus by consequence-based
-    # saturation — zero tableau tests on the classification path (B10
-    # measures the reduction against the enhanced-traversal baseline;
-    # see EXPERIMENTS.md)
+    # the large told-structured TBox (30 named concepts).  The default
+    # classifies this Horn/EL corpus by consequence-based saturation —
+    # zero tableau tests on the classification path (B10 checks the
+    # same with and without a budget; see EXPERIMENTS.md)
     big = random_tbox(0, n_defined=22, n_primitive=8, n_roles=3)
     hierarchy = classify(big)
     assert not hierarchy.incomplete
@@ -300,15 +299,21 @@ def _b5_rewriting() -> dict[str, Any]:
 
 
 def _b6_escalation() -> dict[str, Any]:
-    """Governed reasoning: budget exhaustion, escalation overhead (robust.*)."""
-    from ..corpora.generators import random_tbox
+    """Governed reasoning: budget exhaustion, escalation overhead (robust.*).
+
+    Classifies a non-Horn TBox, whose residue needs one tableau model
+    per name: an EL TBox is read off its saturation with no tableau, so
+    no budget can starve it.
+    """
+    from ..corpora.generators import nonhorn_tbox
     from ..dl import Atomic, Reasoner, classify
     from ..dl.syntax import at_least
-    from ..obs import trace
+    from ..obs import NULL, trace
     from ..robust import Budget, DEFAULT_MAX_ROUNDS, retry_with_escalation
 
-    initial_nodes = 10
-    tbox = random_tbox(0, n_defined=22, n_primitive=8, n_roles=3)
+    # the corpus's models need up to 9 completion-graph nodes
+    initial_nodes = 3
+    tbox = nonhorn_tbox(0, families=3, disjunctions=1)
     with trace("bench.b6.ungoverned_classify"):
         baseline = classify(tbox)
 
@@ -320,15 +325,21 @@ def _b6_escalation() -> dict[str, Any]:
     rounds = 0
     with trace("bench.b6.escalating_classify"):
         hierarchy = classify(tbox, reasoner=reasoner, budget=budget)
-        assert hierarchy.incomplete  # the starved budget must actually starve
+        starved_pairs = len(hierarchy.incomplete)
+        assert starved_pairs  # the starved budget must actually starve
         while hierarchy.incomplete and rounds < DEFAULT_MAX_ROUNDS:
             rounds += 1
             budget = budget.escalated()
             hierarchy = classify(tbox, reasoner=reasoner, budget=budget)
     assert not hierarchy.incomplete
-    assert hierarchy.groups() == baseline.groups()
+    with use_recorder(NULL):  # the oracle's work stays out of the record
+        brute = classify(tbox, algorithm="brute")
+    for governed in (baseline, hierarchy):
+        assert governed.groups() == brute.groups()
+        assert governed.group_of == brute.group_of
+        assert governed.poset == brute.poset
 
-    # per-query escalation: ≥12 successors cannot fit a 10-node budget
+    # per-query escalation: >= 12 successors cannot fit the starved budget
     probe = Reasoner(tbox)
     outcome = retry_with_escalation(
         lambda b: probe.is_satisfiable_governed(
@@ -338,122 +349,98 @@ def _b6_escalation() -> dict[str, Any]:
     )
     assert outcome.verdict.is_definite and outcome.rounds >= 1
     return {
-        "tbox": {"seed": 0, "n_defined": 22, "n_primitive": 8, "n_roles": 3},
+        "tbox": {"seed": 0, "families": 3, "disjunctions": 1},
         "initial_max_nodes": initial_nodes,
+        "starved_open_pairs": starved_pairs,
         "classify_escalation_rounds": rounds,
         "probe_escalation_rounds": outcome.rounds,
     }
 
 
-#: B10 scales: (n_defined, n_primitive, wall-clock reduction floor,
-#: non-Horn families).  ``tiny`` is the CI smoke scale — it still asserts
-#: the ≥5× tableau-test reduction but skips the wall-clock claim
-#: (sub-millisecond runs are scheduler-noise-bound); ``full`` is the
-#: committed record's B1-scale workload (the same 30-name TBox B1
-#: classifies) with the ≥5× wall floor.  The non-Horn corpus has about
-#: ten names per family: 27 at ``tiny``, and at ``full`` the 81-name
-#: TBox the complex-read serving workload boots with.
-B10_SCALES: dict[str, tuple[int, int, int, int]] = {
-    "tiny": (6, 4, 0, 3),
-    "full": (22, 8, 5, 9),
+#: B10 scales: (n_defined, n_primitive, non-Horn families).  ``tiny`` is
+#: the CI smoke scale; ``full`` is the committed record's workload: the
+#: 30-name TBox B1 classifies, and the 81-name non-Horn TBox the
+#: complex-read serving workload boots with (about ten names per
+#: family; 27 at ``tiny``).
+B10_SCALES: dict[str, tuple[int, int, int]] = {
+    "tiny": (6, 4, 3),
+    "full": (22, 8, 9),
 }
 
 
 def _b10_saturation() -> dict[str, Any]:
-    """Consequence-based saturation vs the enhanced tableau traversal.
+    """One classification path, with and without a budget.
 
-    Classifies one seeded Horn/EL TBox twice: once with the enhanced
-    told-seeded tableau traversal (the pre-saturation default), once with
-    the interned consequence-based saturation fast path the auto default
-    now resolves to.  The two hierarchies are asserted identical (the
-    correctness oracle), and the acceptance invariant is asserted here
-    and re-checked from the committed record: saturation classifies the
-    B1-scale workload with **≥ 5×** fewer tableau tests — at full scale
-    also ≥ 5× less wall-clock (``bench.b10.*_classify_ms`` histograms).
-
-    The non-Horn case runs the same comparison on
-    :func:`repro.corpora.nonhorn_tbox`, whose saturation keeps a
-    residue, so the auto default classifies it from one tableau model
-    per name: identical hierarchies, and **≥ 10×** fewer tableau solves
-    (``bench.b10.nonhorn_*``).
+    Classifies a seeded Horn/EL TBox and a non-Horn one, each twice on
+    fresh reasoners: unbudgeted, and under a budget that never binds.
+    Both runs must equal ``classify(algorithm="brute")`` and cost the
+    same tableau solves, because a budget governs the one
+    saturation-and-models path instead of choosing another: the EL TBox
+    is read off its saturation with **zero** solves, and the non-Horn
+    TBox (:func:`repro.corpora.nonhorn_tbox`, whose saturation keeps a
+    residue) takes one model per name and one for ⊤ plus the few tests
+    they leave — at most ``2·names + 1`` solves.
 
     Scale via ``REPRO_B10_SCALE`` (``tiny``/``full``).
     """
     import os
 
     from ..corpora.generators import nonhorn_tbox, random_tbox
-    from ..dl import Reasoner
-    from ..obs import Recorder, get_recorder, use_recorder
+    from ..dl import Reasoner, classify
+    from ..obs import NULL, Recorder, get_recorder
+    from ..robust import Budget
 
     scale = os.environ.get("REPRO_B10_SCALE", "tiny")
     if scale not in B10_SCALES:
         raise ValueError(
             f"REPRO_B10_SCALE={scale!r}; expected one of {sorted(B10_SCALES)}"
         )
-    n_defined, n_primitive, min_wall_reduction, families = B10_SCALES[scale]
+    n_defined, n_primitive, families = B10_SCALES[scale]
 
     recorder = get_recorder()
 
     def classify_both(tbox, prefix):
-        """Enhanced traversal, then the auto default, on fresh reasoners.
+        """Unbudgeted, then budgeted, each on a fresh reasoner.
 
-        Returns ``(ms, counters)`` of each run, in that order.
+        Both must equal brute and cost the same; returns the solves.
         """
-        hierarchies, runs = [], []
-        for algorithm, label in (("enhanced", "enhanced"), ("auto", "saturation")):
+        with use_recorder(NULL):  # the oracle's work stays out of the record
+            brute = classify(tbox, algorithm="brute")
+        solves = []
+        for label, budget in (
+            ("saturation", None),
+            ("budgeted", Budget(max_nodes=100_000)),
+        ):
             run_rec = Recorder()
             t0 = time.perf_counter()
             with use_recorder(run_rec):
-                hierarchies.append(Reasoner(tbox).classify(algorithm=algorithm))
+                hierarchy = Reasoner(tbox).classify(budget=budget)
             ms = (time.perf_counter() - t0) * 1000.0
             recorder.merge(run_rec)
             recorder.observe(f"bench.b10.{prefix}{label}_classify_ms", ms)
-            runs.append((ms, run_rec.counters))
-        enhanced, fast = hierarchies
-        # the correctness oracle: the auto default IS the enhanced
-        # hierarchy, group for group and edge for edge
-        assert fast.algorithm == "saturation"
-        assert fast.groups() == enhanced.groups()
-        assert fast.group_of == enhanced.group_of
-        assert fast.poset == enhanced.poset
-        assert fast.top_equivalents() == enhanced.top_equivalents()
-        return runs
+            # the correctness oracle: group for group and edge for edge
+            assert not hierarchy.incomplete
+            assert hierarchy.groups() == brute.groups()
+            assert hierarchy.group_of == brute.group_of
+            assert hierarchy.poset == brute.poset
+            assert hierarchy.top_equivalents() == brute.top_equivalents()
+            solves.append(run_rec.counters.get("tableau.solve_calls", 0))
+        unbudgeted, budgeted = solves
+        assert budgeted == unbudgeted, (budgeted, unbudgeted)
+        return unbudgeted, budgeted
 
     tbox = random_tbox(0, n_defined=n_defined, n_primitive=n_primitive, n_roles=3)
-    (enhanced_ms, enhanced_counters), (saturation_ms, counters) = classify_both(
-        tbox, ""
-    )
-    enhanced_tests = enhanced_counters.get("tableau.solve_calls", 0)
-    saturation_tests = counters.get("tableau.solve_calls", 0)
-    assert counters.get("saturation.rules_fired", 0) > 0
-    assert counters.get("saturation.tableau_fallbacks", 0) == 0
-    recorder.incr("bench.b10.enhanced_tableau_tests", enhanced_tests)
-    recorder.incr("bench.b10.saturation_tableau_tests", saturation_tests)
-
-    # the acceptance criterion: >= 5x fewer tableau tests at every scale;
-    # the wall-clock floor applies at full scale only
-    assert saturation_tests * 5 <= enhanced_tests, (
-        saturation_tests,
-        enhanced_tests,
-    )
-    if min_wall_reduction:
-        assert saturation_ms * min_wall_reduction <= enhanced_ms, (
-            saturation_ms,
-            enhanced_ms,
-            min_wall_reduction,
-        )
+    el_solves, el_budgeted = classify_both(tbox, "")
+    assert el_solves == 0
+    recorder.incr("bench.b10.saturation_tableau_tests", el_solves)
+    recorder.incr("bench.b10.budgeted_tableau_tests", el_budgeted)
 
     nonhorn = nonhorn_tbox(0, families=families, disjunctions=1)
     names = len(nonhorn.atomic_names())
-    (_, pair_counters), (_, counters) = classify_both(nonhorn, "nonhorn_")
-    pair_solves = pair_counters.get("tableau.solve_calls", 0)
-    model_solves = counters.get("tableau.solve_calls", 0)
-    assert counters.get("hierarchy.models", 0) > 0
-    assert counters.get("saturation.tableau_fallbacks", 0) == 0
-    recorder.incr("bench.b10.nonhorn_enhanced_tableau_solves", pair_solves)
+    model_solves, nonhorn_budgeted = classify_both(nonhorn, "nonhorn_")
     recorder.incr("bench.b10.nonhorn_saturation_tableau_solves", model_solves)
+    recorder.incr("bench.b10.nonhorn_budgeted_tableau_solves", nonhorn_budgeted)
     # one model per name and one for ⊤, plus the few tests they leave
-    assert model_solves * 10 <= pair_solves, (model_solves, pair_solves)
     assert model_solves <= 2 * names + 1, (model_solves, names)
     return {
         "scale": scale,
@@ -463,19 +450,16 @@ def _b10_saturation() -> dict[str, Any]:
             "n_primitive": n_primitive,
             "n_roles": 3,
         },
-        "enhanced_tableau_tests": enhanced_tests,
-        "saturation_tableau_tests": saturation_tests,
-        "tableau_test_reduction": enhanced_tests / max(1, saturation_tests),
-        "wall_reduction_floor": min_wall_reduction,
+        "saturation_tableau_tests": el_solves,
+        "budgeted_tableau_tests": el_budgeted,
         "nonhorn": {
             "seed": 0,
             "families": families,
             "disjunctions": 1,
             "names": names,
         },
-        "nonhorn_enhanced_tableau_solves": pair_solves,
         "nonhorn_saturation_tableau_solves": model_solves,
-        "nonhorn_solve_reduction": pair_solves / max(1, model_solves),
+        "nonhorn_budgeted_tableau_solves": nonhorn_budgeted,
     }
 
 
@@ -725,7 +709,7 @@ BENCHES: dict[str, BenchSpec] = {
     ),
     "B10": BenchSpec(
         "B10",
-        "consequence-based saturation vs enhanced tableau classification",
+        "one classification path: saturation and models, budgeted or not",
         _b10_saturation,
     ),
     "B12": BenchSpec(

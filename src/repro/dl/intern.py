@@ -1,7 +1,7 @@
 """Dense integer interning for concepts and roles, plus bitset helpers.
 
-The reasoning hot paths (tableau labels, told-subsumer closures,
-saturation subsumer sets, hierarchy traversal closures) all manipulate
+The reasoning hot paths (tableau labels, saturation subsumer sets,
+hierarchy subsumer masks) all manipulate
 *sets of things drawn from a small, fixed vocabulary*.  Hashing frozen
 ``Concept`` dataclasses and unioning Python ``set``s of them is what the
 profiler shows; this module replaces both:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..obs import recorder as _obs
-from ..robust import Budget, Verdict
+from ..robust import Budget, BudgetExhausted, Verdict
 from .abox import ABox, ConceptAssertion
 from .nnf import negate
 from .syntax import And, Atomic, Concept, TOP
@@ -45,7 +45,7 @@ class Reasoner:
         # and the id space resets with the tableau on invalidation
         self._sat_cache: dict[int, bool] = {}
         self._subs_cache: dict[tuple[int, int], bool] = {}
-        self._hierarchy_cache: dict[tuple[str, bool], "ConceptHierarchy"] = {}
+        self._hierarchy_cache: dict[str, "ConceptHierarchy"] = {}
         self._saturation: Optional["Saturation"] = None
         self._tbox_revision = self.tbox.revision
 
@@ -132,36 +132,32 @@ class Reasoner:
             return None
         return extract_interpretation(state)
 
-    def model_names(self, concept: Concept) -> Optional[frozenset[str]]:
+    def model_names(
+        self, concept: Concept, budget: Optional[Budget] = None
+    ) -> Optional[frozenset[str]]:
         """The atomic names at the root of one model of ``concept``.
 
         ``None`` iff ``concept`` is unsatisfiable.  The set bounds the
         named subsumers of ``concept``: the model places its root in
         ``concept`` and outside every name the set lacks.  The answer
         lands in the sat cache, and a cached "unsatisfiable" is
-        returned without running the tableau.
+        returned without running the tableau.  Under a ``budget`` the
+        tableau is governed: running out raises
+        :class:`~repro.robust.BudgetExhausted` and caches nothing, just
+        as :meth:`is_satisfiable_governed` caches only definite verdicts.
         """
         self._check_revision()
         key = self._tableau.cid(concept)
         if self._sat_cache.get(key) is False:
             _obs.incr("reasoner.sat_cache_hits")
             return None
-        state = self._tableau.find_model(concept)
+        try:
+            state = self._tableau.find_model(concept, budget)
+        except BudgetExhausted:
+            _obs.incr("robust.unknown_verdicts")
+            raise
         self._sat_cache[key] = state is not None
         return None if state is None else state.atomic_names()
-
-    def known_satisfiability(self, concept: Concept) -> Optional[bool]:
-        """The cached satisfiability of ``concept``, or ``None`` if unknown.
-
-        Never runs the tableau; useful for callers (classification,
-        materialization) that can exploit an answer when one is already
-        in the cache but should not pay for one otherwise.
-        """
-        self._check_revision()
-        key = self._tableau.concepts.get(concept)  # peek: no table growth
-        if key is None:
-            return None
-        return self._sat_cache.get(key)
 
     def is_satisfiable_governed(
         self, concept: Concept, budget: Optional[Budget] = None
@@ -261,8 +257,8 @@ class Reasoner:
 
         Classification reads the whole hierarchy off it when
         :attr:`Saturation.complete`; otherwise its sound True answers
-        are the known subsumers of the model path, and the oracle of a
-        budgeted saturation run.
+        are the known subsumers that one tableau model per name
+        completes, with or without a budget.
         """
         from .saturation import Saturation
 
@@ -271,73 +267,38 @@ class Reasoner:
             self._saturation = Saturation(self.tbox)
         return self._saturation
 
-    def resolve_algorithm(
-        self, algorithm: str, budget: Optional[Budget] = None
-    ) -> str:
-        """What ``algorithm`` means for this run; only ``"auto"`` moves.
-
-        An unbudgeted ``"auto"`` resolves to ``"saturation"``: the
-        hierarchy is read off the Horn/EL saturation when the TBox
-        normalizes completely, and off one tableau model per name when
-        a non-Horn residue remains (:mod:`repro.dl.hierarchy`).  A
-        budgeted ``"auto"`` resolves to enhanced traversal: a budgeted
-        run must stay on the governed tableau path so exhaustion can be
-        reported per pair.
-        """
-        if algorithm != "auto":
-            return algorithm
-        return "saturation" if budget is None else "enhanced"
-
     def classify(
         self,
         *,
-        algorithm: str = "auto",
-        use_told_subsumers: bool = True,
+        algorithm: str = "saturation",
         budget: Optional[Budget] = None,
     ) -> "ConceptHierarchy":
         """The classified concept hierarchy of the TBox, cached.
 
-        The default ``algorithm="auto"`` is resolved here
-        (:meth:`resolve_algorithm`) so explicit and auto callers share
-        cache entries.
+        The hierarchy is computed once per algorithm and reused until
+        the TBox revision moves, at which point :meth:`invalidate` drops
+        it along with the sat/subs caches.  Consumers that repeatedly
+        need hierarchy answers (e.g. :func:`repro.store.materialize`)
+        should go through this service rather than reclassifying.
 
-        The hierarchy is computed once per (algorithm, told-seeding)
-        configuration and reused until the TBox revision moves, at which
-        point :meth:`invalidate` drops it along with the sat/subs
-        caches.  Consumers that repeatedly need hierarchy answers
-        (e.g. :func:`repro.store.materialize`) should go through this
-        service rather than reclassifying.
-
-        With a ``budget``, classification degrades gracefully: unknown
-        edges land in :attr:`ConceptHierarchy.incomplete` instead of
-        raising.  Only *complete* hierarchies enter the cache (a cached
-        complete hierarchy is returned even to budgeted calls — it is a
-        strictly better answer than a partial one).
+        A ``budget`` governs the same saturation-and-models run
+        (:mod:`repro.dl.hierarchy`): unknown answers land in
+        :attr:`ConceptHierarchy.incomplete` instead of raising.  Only
+        *complete* hierarchies enter the cache (a cached complete
+        hierarchy is returned even to budgeted calls — it is a strictly
+        better answer than a partial one).
         """
         from .hierarchy import ConceptHierarchy
 
         self._check_revision()
-        requested_auto = algorithm == "auto"
-        algorithm = self.resolve_algorithm(algorithm, budget)
-        key = (algorithm, use_told_subsumers)
-        hierarchy = self._hierarchy_cache.get(key)
-        if hierarchy is None and requested_auto and budget is not None:
-            # a budgeted auto call resolves to "enhanced", but a cached
-            # complete saturation hierarchy is a strictly better answer
-            hierarchy = self._hierarchy_cache.get(
-                ("saturation", use_told_subsumers)
-            )
+        hierarchy = self._hierarchy_cache.get(algorithm)
         if hierarchy is None:
             _obs.incr("reasoner.classify_cache_misses")
             hierarchy = ConceptHierarchy(
-                self.tbox,
-                reasoner=self,
-                algorithm=algorithm,
-                use_told_subsumers=use_told_subsumers,
-                budget=budget,
+                self.tbox, reasoner=self, algorithm=algorithm, budget=budget
             )
             if not hierarchy.incomplete:
-                self._hierarchy_cache[key] = hierarchy
+                self._hierarchy_cache[algorithm] = hierarchy
         else:
             _obs.incr("reasoner.classify_cache_hits")
         return hierarchy

@@ -23,10 +23,8 @@ the left) form the **residue**.  When the residue is empty the computed
 ``S`` is sound *and complete*, so classification needs zero tableau
 tests; otherwise ``S`` stays sound (every derived subsumption is real)
 and classification takes it as each name's known subsumers, bounding
-the rest by one tableau model per name (:mod:`repro.dl.hierarchy`).  A
-budgeted classification asks it first and routes undecided queries to
-the tableau per query (counted as ``saturation.tableau_fallbacks``).
-``≥n r.C`` on the right
+the rest by one tableau model per name (:mod:`repro.dl.hierarchy`),
+with or without a budget.  ``≥n r.C`` on the right
 is weakened to ``∃r.C`` — sound always, and complete whenever the
 residue is empty, because a canonical EL model can duplicate successors
 freely with no ∀/≤ constraint to forbid it.
@@ -375,8 +373,7 @@ class Saturation:
 
         True is always trustworthy.  False is only returned when the
         residue is empty; with residue present an underived subsumption
-        might still follow from the non-Horn axioms, so we answer None
-        and the caller falls back to the tableau.
+        might still follow from the non-Horn axioms, so we answer None.
         """
         if specific == general:
             return True

@@ -307,19 +307,25 @@ class Tableau:
         """True iff ``concept`` is satisfiable w.r.t. the TBox."""
         return self.find_model(concept) is not None
 
-    def find_model(self, concept: Concept) -> Optional[_State]:
+    def find_model(
+        self, concept: Concept, budget: Optional[Budget] = None
+    ) -> Optional[_State]:
         """A complete clash-free completion graph for ``concept``, or None.
 
         Use :func:`extract_interpretation` to turn the graph into a
         checkable :class:`repro.dl.interpretation.Interpretation`, or
         :meth:`_State.atomic_names` to read the names at its root.
+        Under a ``budget`` the run is governed: running out raises
+        :class:`~repro.robust.BudgetExhausted`.
         """
         _obs.incr("tableau.solve_calls")
+        return self._traced_solve(self._concept_state(concept), budget)
+
+    def _concept_state(self, concept: Concept) -> _State:
         state = self._new_state()
         root = state.new_node(None, named=True)
         state.labels[root] |= 1 << self.cid(to_nnf(concept))
-        with _obs.trace("tableau.solve"):
-            return self._solve(state)
+        return state
 
     def is_consistent(self, abox: ABox) -> bool:
         """True iff ``abox`` is consistent w.r.t. the TBox."""
@@ -359,10 +365,7 @@ class Tableau:
         raises on exhaustion — that is the whole point.
         """
         _obs.incr("tableau.solve_calls")
-        state = self._new_state()
-        root = state.new_node(None, named=True)
-        state.labels[root] |= 1 << self.cid(to_nnf(concept))
-        return self._verdict_of(state, budget)
+        return self._verdict_of(self._concept_state(concept), budget)
 
     def consistent_governed(self, abox: ABox, budget: Budget) -> Verdict:
         """ABox consistency under ``budget`` (PROVED = consistent)."""
@@ -371,12 +374,20 @@ class Tableau:
 
     def _verdict_of(self, state: _State, budget: Budget) -> Verdict:
         try:
-            with _obs.trace("tableau.solve"):
-                solved = self._solve(state, budget)
+            solved = self._traced_solve(state, budget)
         except BudgetExhausted as exc:
-            _obs.incr("robust.exhaustions")
             return Verdict.unknown(exc.reason)
         return Verdict.from_bool(solved is not None)
+
+    def _traced_solve(
+        self, state: _State, budget: Optional[Budget]
+    ) -> Optional[_State]:
+        try:
+            with _obs.trace("tableau.solve"):
+                return self._solve(state, budget)
+        except BudgetExhausted:
+            _obs.incr("robust.exhaustions")
+            raise
 
     # ------------------------------------------------------------------ #
     # the algorithm

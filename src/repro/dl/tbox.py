@@ -105,16 +105,18 @@ class TBox:
         return out
 
     def atomic_names(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        # one set, frozen once: a frozenset union per axiom is quadratic.
+        # Not cached, because a TBox mutates in place.
+        out: set[str] = set()
         for gci in self.gcis():
-            out |= gci.lhs.atomic_names() | gci.rhs.atomic_names()
-        return out
+            out.update(gci.lhs.atomic_names(), gci.rhs.atomic_names())
+        return frozenset(out)
 
     def role_names(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
+        out: set[str] = set()
         for gci in self.gcis():
-            out |= gci.lhs.role_names() | gci.rhs.role_names()
-        return out
+            out.update(gci.lhs.role_names(), gci.rhs.role_names())
+        return frozenset(out)
 
     # ------------------------------------------------------------------ #
     # definitorial structure (enables lazy unfolding)

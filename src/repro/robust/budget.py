@@ -3,13 +3,15 @@
 A :class:`Budget` is the mutable ledger one governed query charges
 against.  Exhaustion raises :class:`BudgetExhausted` (an internal control
 signal — governed entry points catch it and return an ``UNKNOWN``
-:class:`repro.robust.Verdict`, they never let it escape to callers).
+:class:`repro.robust.Verdict`; only :meth:`repro.dl.Reasoner.model_names`
+lets it through, to the classifier that records the name's open pairs).
 
 Budgets compose across a run:
 
 * :meth:`Budget.child` — a fresh per-query ledger *sharing the parent's
-  wall-clock deadline*, so ``classify()`` can give every subsumption test
-  its own node allowance while the whole run still honors one deadline;
+  wall-clock deadline*, so ``classify()`` can give every tableau model
+  and test its own node allowance while the whole run still honors one
+  deadline;
 * :meth:`Budget.escalated` — a geometrically larger budget for retrying
   an UNKNOWN query (see :func:`repro.robust.retry_with_escalation`);
   escalated budgets carry ``generation > 0`` and are exempt from injected

@@ -42,8 +42,12 @@ plan, so recovery paths converge deterministically — a suite run under
 faults, not by dodging them.
 
 Schedules are deterministic: each kind keeps an activation counter and
-fires when ``(count + crc32(kind) + seed) % period == 0``.  Two plans
-built with the same arguments fire at exactly the same activations.
+fires when ``(count + crc32(kind) + seed) % period == 0``.  A fault
+point that names a ``site`` keeps its own counter, so other points'
+traffic cannot use up its firings: a torn-write plan tears edit-log
+appends on their own schedule, however many atomic writes came first.
+Two plans built with the same arguments fire at exactly the same
+activations.
 """
 
 from __future__ import annotations
@@ -94,19 +98,20 @@ class FaultPlan:
         self.kinds = kinds
         self.period = period
         self.seed = seed
-        self._counts: dict[str, int] = {}
+        self._counts: dict[tuple[str, str], int] = {}
 
     @classmethod
     def always(cls, *kinds: str) -> "FaultPlan":
         """A plan whose armed kinds fire on every activation."""
         return cls(kinds, period=1)
 
-    def fires(self, kind: str) -> bool:
-        """Advance ``kind``'s activation counter; True when this one fires."""
+    def fires(self, kind: str, site: str = "") -> bool:
+        """Advance ``kind``'s counter at ``site``; True when this one fires."""
         if kind not in self.kinds:
             return False
-        count = self._counts.get(kind, 0)
-        self._counts[kind] = count + 1
+        key = (kind, site)
+        count = self._counts.get(key, 0)
+        self._counts[key] = count + 1
         return (count + zlib.crc32(kind.encode("utf-8")) + self.seed) % self.period == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -155,12 +160,15 @@ def suspended() -> "contextmanager":
     return use_faults(NULL_PLAN)
 
 
-def should_fire(kind: str) -> bool:
-    """Consult the current plan at a fault point (free when disarmed)."""
+def should_fire(kind: str, site: str = "") -> bool:
+    """Consult the current plan at a fault point (free when disarmed).
+
+    ``site`` names a point that keeps its own activation counter.
+    """
     plan = _current
     if plan is NULL_PLAN:
         return False
-    if plan.fires(kind):
+    if plan.fires(kind, site):
         _obs.incr(f"faults.fired.{kind}")
         return True
     return False

@@ -348,6 +348,7 @@ class FollowerChannel:
         on_records: Optional[Callable[[list[EditRecord]], Awaitable[None]]] = None,
         on_base: Optional[Callable[[int], Awaitable[None]]] = None,
         on_auto_promote: Optional[Callable[[], Awaitable[None]]] = None,
+        served_version: Optional[Callable[[], int]] = None,
         probe_interval_s: float = 0.5,
         auto_promote_after: Optional[int] = None,
         pull_limit: int = 64,
@@ -361,6 +362,9 @@ class FollowerChannel:
         self.on_records = on_records
         self.on_base = on_base
         self.on_auto_promote = on_auto_promote
+        #: the version reads are answered from; the applied log runs
+        #: ahead of it while a base or a batch is being published
+        self.served_version = served_version or (lambda: editlog.version)
         self.probe_interval_s = probe_interval_s
         self.auto_promote_after = auto_promote_after
         self.pull_limit = pull_limit
@@ -383,11 +387,20 @@ class FollowerChannel:
         # N followers re-hammer the primary in lockstep forever.
         self._jitter = random.Random(jitter_seed)
 
-    def lag_records(self) -> Optional[int]:
-        """Records behind the last-seen primary tip; None before contact."""
+    def lag_records(self, version: Optional[int] = None) -> Optional[int]:
+        """Records ``version`` trails the last-seen primary tip; None
+        before contact.
+
+        ``version`` defaults to the served snapshot's: a read answered
+        while an installed base or a shipped batch is still being
+        published is as stale as the snapshot it came from, however far
+        the applied log has moved.
+        """
         if self.last_primary_version is None:
             return None
-        return max(0, self.last_primary_version - self.editlog.version)
+        if version is None:
+            version = self.served_version()
+        return max(0, self.last_primary_version - version)
 
     @property
     def base_publish_pending(self) -> bool:
@@ -465,7 +478,7 @@ class FollowerChannel:
             applied = await asyncio.to_thread(apply_shipped, self.editlog, rows)
             if applied and self.on_records is not None:
                 await self.on_records(applied)
-        lag = self.lag_records()
+        lag = self.lag_records(self.editlog.version)
         if lag is not None:
             _obs.observe("repl.lag_records", float(lag))
         return "ok"
@@ -489,9 +502,10 @@ class FollowerChannel:
             ):
                 await self.on_auto_promote()
                 return
-            # catch up as fast as the primary can ship while behind;
-            # probe gently once caught up
-            lag = self.lag_records()
+            # catch up as fast as the primary can ship while the log is
+            # behind; probe gently once caught up (a publication retried
+            # with backoff must not turn this into a spin)
+            lag = self.lag_records(self.editlog.version)
             if outcome == "ok" and lag is not None and lag > 0:
                 continue
             await asyncio.sleep(self.probe_interval_s)

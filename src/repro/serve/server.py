@@ -218,6 +218,7 @@ class ReasoningServer:
                 on_records=self._on_replicated_records,
                 on_base=self._on_replicated_base,
                 on_auto_promote=self._auto_promote,
+                served_version=lambda: self.snapshots.version,
                 probe_interval_s=self.config.probe_interval_ms / 1000.0,
                 auto_promote_after=self.config.auto_promote_after,
             )
@@ -323,7 +324,8 @@ class ReasoningServer:
                 status, body, extra = await self._dispatch(request)
                 channel = self._channel
                 if channel is not None and not channel.stopped:
-                    lag = channel.lag_records()
+                    # the lag of the version the answer reports, if any
+                    lag = channel.lag_records(body.get("tbox_version"))
                     if lag is not None:
                         extra = dict(extra or {})
                         extra["X-Replication-Lag-Records"] = str(lag)

@@ -159,9 +159,9 @@ class Snapshot:
 
     @property
     def classify_algorithm(self) -> Optional[str]:
-        """The resolved classification algorithm behind this version's
-        hierarchy ("saturation": read off the Horn/EL saturation, or
-        from one tableau model per name on a non-Horn TBox); None once
+        """The classification algorithm behind this version's hierarchy
+        ("saturation": read off the Horn/EL saturation, completed by one
+        tableau model per name on a non-Horn TBox); None once
         released."""
         return None if self.hierarchy is None else self.hierarchy.algorithm
 

@@ -116,7 +116,7 @@ def append_verified_bytes(path: Union[str, Path], data: bytes) -> bool:
     path = Path(path)
     with path.open("ab") as handle:
         offset = handle.tell()
-        if _faults.should_fire("torn-write"):
+        if _faults.should_fire("torn-write", site="append"):
             handle.write(data[: len(data) // 2])
         else:
             handle.write(data)

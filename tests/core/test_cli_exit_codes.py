@@ -34,11 +34,12 @@ def coherent_file(tmp_path):
 
 @pytest.fixture
 def wide_file(tmp_path):
+    # the disjunction leaves a residue, so car gets a tableau model; its
     # >= 12 successors need 13 nodes: reliably exhausts a 10-node budget
     path = tmp_path / "wide.tbox"
     path.write_text(
         "car [= motorvehicle & >= 12 has.wheel\n"
-        "motorvehicle [= some uses.gasoline\n",
+        "motorvehicle [= some uses.gasoline & (petrol | diesel)\n",
         encoding="utf-8",
     )
     return str(path)

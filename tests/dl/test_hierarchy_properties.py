@@ -1,12 +1,17 @@
-"""Property tests: enhanced-traversal classification ≡ brute force.
+"""Property tests: the saturation path ≡ brute force, budgeted or not.
 
-The enhanced-traversal algorithm prunes tableau subsumption tests via
-told subsumers, transitivity, and negative-result propagation; none of
-that may change the *answer*.  These properties generate TBoxes two ways
-— the seeded corpus generator used by the benches, and a Hypothesis
-strategy with negation so unsatisfiable and ⊤-equivalent names occur —
-and assert both algorithms yield the identical hierarchy: same
-equivalence classes, same poset, same group mapping.
+A budget governs the one saturation-and-models path; it must never
+change a definite answer.  These properties generate TBoxes two ways —
+the seeded corpus generator used by the benches, and a Hypothesis
+strategy with negation, disjunction and ∃ so residues, unsatisfiable
+and ⊤-equivalent names occur — and assert:
+
+* under a budget that never binds, the hierarchy is brute force's: same
+  equivalence classes, same poset, same group mapping;
+* under a starved budget, with or without injected exhaustion and
+  deadline faults, every subsumption the partial hierarchy asserts
+  holds in brute force's, and a run that leaves nothing incomplete is
+  brute force's hierarchy.
 """
 
 from hypothesis import given, settings
@@ -24,6 +29,8 @@ from repro.dl import (
     classify,
     some,
 )
+from repro.robust import Budget, faults
+from repro.robust.faults import FaultPlan
 
 _NAMES = ["A", "B", "C", "D", "E"]
 _ROLES = ["r", "s"]
@@ -62,19 +69,24 @@ def _axioms(draw):
 _tboxes = st.lists(_axioms(), min_size=1, max_size=5).map(TBox)
 
 
-def _assert_same_hierarchy(tbox: TBox) -> None:
-    enhanced = classify(tbox, algorithm="enhanced")
-    brute = classify(tbox, algorithm="brute")
-    assert enhanced.groups() == brute.groups()
-    assert enhanced.group_of == brute.group_of
-    assert enhanced.poset == brute.poset
-    assert enhanced.top_equivalents() == brute.top_equivalents()
+def _assert_same_hierarchy(hierarchy, brute) -> None:
+    assert hierarchy.groups() == brute.groups()
+    assert hierarchy.group_of == brute.group_of
+    assert hierarchy.poset == brute.poset
+    assert hierarchy.top_equivalents() == brute.top_equivalents()
+
+
+def _assert_budgeted_equals_brute(tbox: TBox) -> None:
+    with faults.suspended():
+        budgeted = classify(tbox, budget=Budget(max_nodes=100_000))
+    assert not budgeted.incomplete
+    _assert_same_hierarchy(budgeted, classify(tbox, algorithm="brute"))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_tboxes)
-def test_enhanced_equals_brute_on_random_axioms(tbox):
-    _assert_same_hierarchy(tbox)
+def test_budgeted_equals_brute_on_random_axioms(tbox):
+    _assert_budgeted_equals_brute(tbox)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -83,15 +95,33 @@ def test_enhanced_equals_brute_on_random_axioms(tbox):
     n_defined=st.integers(min_value=2, max_value=10),
     n_primitive=st.integers(min_value=1, max_value=5),
 )
-def test_enhanced_equals_brute_on_corpus_tboxes(seed, n_defined, n_primitive):
+def test_budgeted_equals_brute_on_corpus_tboxes(seed, n_defined, n_primitive):
     tbox = random_tbox(seed, n_defined=n_defined, n_primitive=n_primitive, n_roles=2)
-    _assert_same_hierarchy(tbox)
+    _assert_budgeted_equals_brute(tbox)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(_tboxes)
-def test_told_seeding_never_changes_enhanced_answer(tbox):
-    with_told = classify(tbox, algorithm="enhanced", use_told_subsumers=True)
-    without = classify(tbox, algorithm="enhanced", use_told_subsumers=False)
-    assert with_told.groups() == without.groups()
-    assert with_told.poset == without.poset
+_FAULTS = [(), ("exhaustion",), ("deadline",), ("exhaustion", "deadline")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    tbox=_tboxes,
+    max_nodes=st.integers(min_value=1, max_value=12),
+    armed=st.sampled_from(_FAULTS),
+    fault_seed=st.integers(min_value=0, max_value=4),
+)
+def test_budgeted_hierarchy_is_sound(tbox, max_nodes, armed, fault_seed):
+    plan = FaultPlan(armed, seed=fault_seed) if armed else faults.NULL_PLAN
+    with faults.use_faults(plan):
+        partial = classify(tbox, budget=Budget(max_nodes=max_nodes))
+    brute = classify(tbox, algorithm="brute")
+    names = sorted(brute.group_of)
+    for specific in names:
+        for general in names:
+            if partial.is_subsumed_by(specific, general):
+                assert brute.is_subsumed_by(specific, general), (
+                    specific,
+                    general,
+                )
+    if not partial.incomplete:
+        _assert_same_hierarchy(partial, brute)

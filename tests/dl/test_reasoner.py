@@ -9,7 +9,6 @@ from repro.dl import (
     Atomic,
     BOTTOM,
     ConceptAssertion,
-    ConceptHierarchy,
     Equivalence,
     Not,
     Or,
@@ -27,7 +26,6 @@ from repro.dl import (
     parse_tbox,
     some,
 )
-from repro.robust import Budget
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -276,7 +274,7 @@ class TestSatCacheCrossSeeding:
             # model witnesses sat(B), which cross-seeds the sat cache
             assert not reasoner.subsumes(A, B)
             assert recorder.counters["reasoner.sat_cross_seeds"] == 1
-            assert reasoner.known_satisfiability(B) is True
+            assert reasoner.cache_stats()["sat"] == 1
             assert reasoner.is_satisfiable(B)
         # the sat check above was answered from the seeded cache
         assert recorder.counters["reasoner.sat_cache_hits"] == 1
@@ -285,57 +283,13 @@ class TestSatCacheCrossSeeding:
     def test_positive_subsumption_does_not_seed(self):
         reasoner = Reasoner(TBox([Subsumption(A, B)]))
         assert reasoner.subsumes(B, A)  # test concept unsatisfiable
-        assert reasoner.known_satisfiability(A) is None
+        assert reasoner.cache_stats() == {"sat": 0, "subs": 1, "hierarchy": 0}
 
-    def test_known_satisfiability_never_runs_tableau(self):
+    def test_cache_stats_never_runs_tableau(self):
         from repro.obs import Recorder, use_recorder
 
         reasoner = Reasoner(TBox([Subsumption(A, B)]))
         recorder = Recorder()
         with use_recorder(recorder):
-            assert reasoner.known_satisfiability(A) is None
+            assert reasoner.cache_stats() == {"sat": 0, "subs": 0, "hierarchy": 0}
         assert "tableau.solve_calls" not in recorder.counters
-
-    def test_classification_reuses_cross_seeded_answers(self):
-        from repro.obs import Recorder, use_recorder
-
-        reasoner = Reasoner(vehicle_tbox())
-        recorder = Recorder()
-        with use_recorder(recorder):
-            # pin enhanced: the auto default classifies this EL corpus by
-            # saturation and never opens a tableau, so no cross-seeding
-            reasoner.classify(algorithm="enhanced")
-        assert recorder.counters.get("reasoner.sat_cross_seeds", 0) > 0
-        assert recorder.counters.get("reasoner.sat_cache_hits", 0) > 0
-
-
-class TestResolveAlgorithm:
-    """``"auto"`` is resolved once, by the reasoner, for every caller."""
-
-    TBOXES = {
-        "el": "car [= motorvehicle & some size.small\nmotorvehicle [= vehicle",
-        "non_horn": "car [= motorvehicle & ~pickup\npickup [= motorvehicle",
-    }
-
-    @pytest.mark.parametrize(
-        "shape, budgeted, expected",
-        [
-            ("el", False, "saturation"),
-            ("el", True, "enhanced"),
-            ("non_horn", False, "saturation"),
-            ("non_horn", True, "enhanced"),
-        ],
-    )
-    def test_classify_and_hierarchy_agree(self, shape, budgeted, expected):
-        budget = Budget(max_nodes=10_000) if budgeted else None
-        tbox = parse_tbox(self.TBOXES[shape])
-        reasoner = Reasoner(tbox)
-        assert reasoner.resolve_algorithm("auto", budget) == expected
-        assert reasoner.classify(budget=budget).algorithm == expected
-        direct = ConceptHierarchy(tbox, algorithm="auto", budget=budget)
-        assert direct.algorithm == expected
-
-    def test_explicit_algorithms_pass_through(self):
-        reasoner = Reasoner(parse_tbox(self.TBOXES["el"]))
-        for algorithm in ("enhanced", "brute", "saturation"):
-            assert reasoner.resolve_algorithm(algorithm) == algorithm

@@ -10,6 +10,7 @@ covers everything else.
 
 from repro.dl import Atomic, Reasoner, Subsumption, TBox
 from repro.obs import Recorder, use_recorder
+from repro.robust import Budget
 
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
@@ -121,11 +122,13 @@ class TestClassifyCache:
 
     def test_cache_keyed_by_configuration(self):
         reasoner = Reasoner(TBox([Subsumption(A, B)]))
-        enhanced = reasoner.classify(algorithm="enhanced")
+        saturation = reasoner.classify()
         brute = reasoner.classify(algorithm="brute")
-        assert enhanced is not brute
-        assert enhanced.poset == brute.poset
+        assert saturation is not brute
+        assert saturation.poset == brute.poset
         assert reasoner.classify(algorithm="brute") is brute
+        # a budget governs the same run, so it shares the saturation entry
+        assert reasoner.classify(budget=Budget(max_nodes=1)) is saturation
 
     def test_tbox_mutation_invalidates_hierarchy(self):
         tbox = TBox([Subsumption(A, B)])

@@ -140,22 +140,26 @@ class TestInstrumentationCoverage:
         assert rec.counters["reasoner.subs_cache_hits"] == 1
 
     def test_hierarchy_counters(self):
+        from repro.corpora import nonhorn_tbox
         from repro.corpora.vehicles import vehicle_tbox
         from repro.dl import classify
 
         rec = Recorder()
         with use_recorder(rec):
-            # the auto default classifies this EL corpus by saturation
+            # the default classifies this EL corpus by saturation
             classify(vehicle_tbox())
         assert rec.counters["hierarchy.classifications"] == 1
         assert rec.counters["saturation.rules_fired"] > 0
         assert "tableau.solve_calls" not in rec.counters
         rec2 = Recorder()
+        nonhorn = nonhorn_tbox(0, families=1, disjunctions=1)
         with use_recorder(rec2):
-            # the enhanced traversal still drives the tableau counters
-            classify(vehicle_tbox(), algorithm="enhanced")
-        assert rec2.counters["hierarchy.told_hits"] > 0
-        assert rec2.counters["hierarchy.tableau_subsumptions"] > 0
+            # a non-Horn residue drives the tableau counters: one model
+            # per name and one for ⊤
+            classify(nonhorn)
+        models = len(nonhorn.atomic_names()) + 1
+        assert rec2.counters["hierarchy.models"] == models
+        assert rec2.counters["tableau.solve_calls"] >= models
 
     def test_store_counters_index_vs_scan(self):
         from repro.store import TripleStore

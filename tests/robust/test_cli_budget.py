@@ -5,11 +5,12 @@ import pytest
 from repro.__main__ import EXIT_PARTIAL, main
 from repro.robust import faults
 
-#: ≥12 wheel-successors need 13 completion-graph nodes, so a 10-node
-#: budget reliably exhausts on the car subsumption tests
+#: the disjunction leaves a non-Horn residue, so classification builds
+#: one tableau model per name; car's ≥12 wheel-successors need 13
+#: completion-graph nodes, so a 10-node budget reliably exhausts its model
 WIDE_TEXT = """
 car [= motorvehicle & >= 12 has.wheel
-motorvehicle [= some uses.gasoline
+motorvehicle [= some uses.gasoline & (petrol | diesel)
 """
 
 

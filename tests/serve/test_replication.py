@@ -772,6 +772,101 @@ class TestLagBoundedReads:
                 )
                 assert (status, body["answer"]) == (200, True)
 
+    def _bounded_read(self, follower):
+        """A read bounded at lag 0: (status, reported lag, raw body)."""
+        import http.client
+
+        host, port = follower.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/v1/subsumes",
+                body='{"general": "motorvehicle", "specific": "car"}',
+                headers={"Content-Type": "application/json", self.HEADER: "0"},
+            )
+            response = conn.getresponse()
+            body = response.read()
+            lag = response.getheader("X-Replication-Lag-Records")
+            return response.status, int(lag), body
+        finally:
+            conn.close()
+
+    def _held(self, publish, release, from_version=0):
+        """Wrap a publication hook so it waits for ``release``."""
+        import asyncio
+
+        async def held(arg):
+            version = arg if isinstance(arg, int) else arg[-1].version
+            if version >= from_version:
+                await asyncio.to_thread(release.wait, 15)
+            await publish(arg)
+
+        return held
+
+    def test_read_during_a_held_base_publication_is_refused(self, tmp_path):
+        import threading
+
+        release = threading.Event()
+        with ServerThread(VEHICLES, _primary_config(tmp_path)) as primary:
+            follower = ServerThread(
+                None, _follower_config(tmp_path, _url(primary))
+            )
+            channel = follower.server._channel
+            channel.on_base = self._held(channel.on_base, release)
+            with follower:
+                try:
+                    # the base is installed, so the log is at the tip, but
+                    # its publication is held: the empty boot TBox serves
+                    assert _wait_until(
+                        lambda: follower.server.editlog.version == 1
+                    )
+                    assert follower.server.snapshots.version == 0
+                    status, lag, body = self._bounded_read(follower)
+                    assert status == 503, body
+                    assert lag > 0
+                finally:
+                    release.set()
+                assert _wait_until(lambda: follower.server.snapshots.version == 1)
+                status, lag, body = self._bounded_read(follower)
+                assert (status, lag) == (200, 0)
+                assert b'"answer": true' in body
+
+    def test_read_during_a_held_batch_publication_is_refused(self, tmp_path):
+        import threading
+
+        release = threading.Event()
+        with ServerThread(VEHICLES, _primary_config(tmp_path)) as primary:
+            follower = ServerThread(
+                None, _follower_config(tmp_path, _url(primary))
+            )
+            channel = follower.server._channel
+            channel.on_records = self._held(
+                channel.on_records, release, from_version=2
+            )
+            with follower:
+                try:
+                    assert _wait_until(
+                        lambda: follower.server.snapshots.version == 1
+                    )
+                    status, _ = primary.request(
+                        "POST", "/v1/tbox", {"tbox": _edit_text(1)}
+                    )
+                    assert status == 200
+                    # the shipped record is applied, its publication held
+                    assert _wait_until(
+                        lambda: follower.server.editlog.version == 2
+                    )
+                    assert follower.server.snapshots.version == 1
+                    status, lag, body = self._bounded_read(follower)
+                    assert status == 503, body
+                    assert lag > 0
+                finally:
+                    release.set()
+                assert _wait_until(lambda: follower.server.snapshots.version == 2)
+                status, lag, _ = self._bounded_read(follower)
+                assert (status, lag) == (200, 0)
+
     def test_lagging_follower_refuses_with_retry_after(self, tmp_path):
         import http.client
 
