@@ -25,8 +25,10 @@ leaves its name with the subsumers the saturation proved, and records
 every other question about the name in
 :attr:`ConceptHierarchy.incomplete`: ``(name, other)`` for each name
 not proved a subsumer, and ``(name, ⊥)``.  A test that runs out records
-its own pair.  Nothing unproved is asserted, so a partial hierarchy is
-sound, and one with nothing incomplete is the unbudgeted hierarchy.
+its own pair.  A recorded pair that the closed hierarchy asserts anyway,
+by a chain of proved edges, is answered and dropped.  Nothing unproved
+is asserted, so a partial hierarchy is sound, and one with nothing
+incomplete is the unbudgeted hierarchy.
 
 ``algorithm="brute"`` is the O(n²) pairwise subsumption matrix, kept as
 the correctness oracle; Hypothesis property tests assert that the
@@ -101,7 +103,8 @@ class ConceptHierarchy:
         self.models = 0
         self._budget = budget
         #: (specific, general) name pairs whose question exhausted its
-        #: budget; empty means the hierarchy is definite
+        #: budget and that the closed hierarchy does not assert anyway;
+        #: empty means the hierarchy is definite
         self.incomplete: set[tuple[str, str]] = set()
         self._satisfiable: dict[str, bool] = {}
 
@@ -144,6 +147,11 @@ class ConceptHierarchy:
         pairs += [(rep, TOP_NAME) for rep in representatives]
         pairs.append((BOTTOM_NAME, TOP_NAME))
         self.poset = Poset(elements, pairs)
+        # a starved question the closed hierarchy answers anyway (by a
+        # chain of proved edges) is not open
+        self.incomplete = {
+            pair for pair in self.incomplete if not self.is_subsumed_by(*pair)
+        }
 
     # ------------------------------------------------------------------ #
     # tableau questions, governed under a budget
@@ -343,7 +351,12 @@ class ConceptHierarchy:
 
     @property
     def complete(self) -> bool:
-        """True iff no subsumption question exhausted its budget."""
+        """True iff every subsumption question is answered.
+
+        A question that exhausted its budget counts as answered when the
+        closed hierarchy asserts its pair anyway, so a budgeted run can
+        report ``hierarchy.unknown_edges`` and still be complete.
+        """
         return not self.incomplete
 
     def groups(self) -> frozenset[frozenset[str]]:

@@ -6,7 +6,8 @@ and :mod:`repro.robust` budgets with three-valued verdicts — into a
 long-lived asyncio process (``python -m repro serve``) instead of
 one-shot CLI invocations that re-parse and re-classify per call:
 
-* :mod:`repro.serve.server` — routes, lifecycle, degradation contract;
+* :mod:`repro.serve.server` — the route table, the one publish
+  sequence, lifecycle, degradation contract;
 * :mod:`repro.serve.batcher` — coalesces concurrent checks over one
   shared snapshot pass (``serve.batched_hits``);
 * :mod:`repro.serve.admission` — 429/503 load shedding and per-request
@@ -24,7 +25,9 @@ one-shot CLI invocations that re-parse and re-classify per call:
   epoch (split-brain-safe failover);
 * :mod:`repro.serve.workers` — the multi-worker mode: a routing
   front process plus N worker processes forked after classification,
-  with hot swaps shipped as edit records (``--workers N``);
+  with hot swaps shipped as edit records (``--workers N``); both roles
+  register routes into the server's table, and the front adds its
+  broadcast as a publish hook;
 * :mod:`repro.serve.control` — the front↔worker control channel
   (HTTP/1.1 over per-worker Unix sockets);
 * :mod:`repro.serve.protocol` — HTTP/1.1 framing and the JSON bodies;

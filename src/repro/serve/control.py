@@ -48,10 +48,12 @@ class WorkerProtocolError(Exception):
 
 
 async def read_response(
-    reader: asyncio.StreamReader,
+    reader: asyncio.StreamReader, max_body: Optional[int] = MAX_RESPONSE_BODY
 ) -> tuple[int, dict[str, str], bytes]:
     """Read one HTTP/1.1 response: ``(status, headers, body)``.
 
+    A Content-Length above ``max_body`` is a protocol violation; None
+    accepts any length.
     Raises :class:`WorkerProtocolError` on malformed framing and
     ``IncompleteReadError``/``ConnectionError`` when the peer vanishes
     mid-response — both mean the connection is poisoned and must be
@@ -83,7 +85,7 @@ async def read_response(
         length = int(headers.get("content-length", "0"))
     except ValueError as exc:
         raise WorkerProtocolError("bad Content-Length") from exc
-    if length < 0 or length > MAX_RESPONSE_BODY:
+    if length < 0 or (max_body is not None and length > max_body):
         raise WorkerProtocolError(f"unreasonable Content-Length {length}")
     body = await reader.readexactly(length) if length else b""
     return status, headers, body

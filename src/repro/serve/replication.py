@@ -59,6 +59,7 @@ from typing import Awaitable, Callable, Optional, Union
 from ..obs import recorder as _obs
 from ..robust import faults
 from ..store import atomic_write_text
+from .control import WorkerProtocolError, _encode_request, read_response
 from .editlog import EditLog, EditRecord
 
 __all__ = [
@@ -278,44 +279,34 @@ async def post_json(
 ) -> tuple[int, dict]:
     """One POST against a peer server; returns ``(status, body)``.
 
-    Opens a fresh connection per call (``Connection: close``): the
-    channel polls at human-scale intervals, and a dead peer must fail
-    the *next* poll, not poison a kept-alive socket.
+    Opens a fresh connection per call: the channel polls at human-scale
+    intervals, and a dead peer must fail the *next* poll, not poison a
+    kept-alive socket.  The reply is framed by Content-Length
+    (:func:`repro.serve.control.read_response`) with no cap on the body:
+    a base ships the whole TBox, and a pull ships up to 256 records of
+    axiom texts.  A malformed or truncated reply raises
+    :class:`ReplicationError`.
     """
     host, port = parse_url(url)
 
     async def _roundtrip() -> tuple[int, dict]:
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            body = json.dumps(payload).encode("utf-8")
-            head = (
-                f"POST {path} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
+            writer.write(
+                _encode_request("POST", path, json.dumps(payload).encode("utf-8"))
             )
-            writer.write(head.encode("latin-1") + body)
             await writer.drain()
-            raw = await reader.read()
+            status, _headers, raw = await read_response(reader, max_body=None)
+        except (WorkerProtocolError, asyncio.IncompleteReadError) as exc:
+            raise ReplicationError(f"{url}{path}: {exc}") from exc
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        header_end = raw.find(b"\r\n\r\n")
-        if header_end == -1:
-            raise ReplicationError(f"{url}{path}: truncated response")
-        head_lines = raw[:header_end].decode("latin-1").split("\r\n")
-        parts = head_lines[0].split(" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ReplicationError(
-                f"{url}{path}: bad status line {head_lines[0]!r}"
-            )
-        status = int(parts[1])
         try:
-            parsed = json.loads(raw[header_end + 4:] or b"{}")
+            parsed = json.loads(raw or b"{}")
         except json.JSONDecodeError as exc:
             raise ReplicationError(f"{url}{path}: non-JSON body: {exc}")
         return status, parsed if isinstance(parsed, dict) else {}

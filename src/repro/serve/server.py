@@ -1,29 +1,39 @@
-"""The asyncio reasoning server: routes, lifecycle, and degradation.
+"""The asyncio reasoning server: one route table, one publish sequence.
 
 ``python -m repro serve`` starts a long-lived JSON-over-HTTP process
 exposing the reasoning services over one shared, batched, cached
 snapshot instead of re-parsing and re-classifying the TBox per call the
 way one-shot CLI invocations do.
 
-Routes (all bodies JSON)::
+Routes, by kind (all bodies JSON; :attr:`ReasoningServer.routes`)::
 
-    GET  /v1/health       liveness + snapshot version + queue gauges
-    GET  /v1/metrics      the obs recorder snapshot + serving gauges
-    POST /v1/subsumes     {"general": C, "specific": D}      (batched)
-    POST /v1/satisfiable  {"concept": C}                     (batched)
-    POST /v1/classify     {}                → groups, parents, version
-    POST /v1/instances    {"concept": C, "abox": {...}}      (governed)
-    POST /v1/critique     {"tbox": text?}  → the paper's critique report
-    POST /v1/tbox         {"tbox": text}   → prepare + hot-swap snapshot
-    POST /v1/repl/pull    {"after": N}     → sealed records / base (replication)
-    POST /v1/promote      {}               → follower becomes primary
-    POST /v1/fence        {"epoch": E}     → refuse writes under a newer primary
+    GET  /v1/health       open   liveness + snapshot version + queue gauges
+    GET  /v1/metrics      open   the obs recorder snapshot + serving gauges
+    POST /v1/repl/pull    open   {"after": N}    → sealed records / base
+    POST /v1/promote      open   {}              → follower becomes primary
+    POST /v1/fence        open   {"epoch": E}    → refuse writes (newer primary)
+    POST /v1/subsumes     read   {"general": C, "specific": D}   (batched)
+    POST /v1/satisfiable  read   {"concept": C}                  (batched)
+    POST /v1/classify     read   {}              → groups, parents, version
+    POST /v1/instances    read   {"concept": C, "abox": {...}}   (governed)
+    POST /v1/critique     read   {"tbox": text?} → the paper's critique report
+    POST /v1/tbox         write  {"tbox": text}  → log + prepare + hot-swap
+
+An ``open`` route skips admission, so a drained, overloaded or
+write-refusing server can still ship records, be fenced and be
+promoted; a ``read`` route checks the client's lag bound, then admits a
+read; a ``write`` route admits a write.  The multi-worker roles
+(:mod:`repro.serve.workers`) register their routes into the same table.
 
 Degradation contract: budget-exhausted answers are **206** with an
 ``UNKNOWN`` verdict body (the HTTP analogue of CLI exit code 3);
 admission refusals are **429**/**503** with ``Retry-After`` — a
 pathological query burns only its own budget slice, never the event
 loop.  Concept strings use the text syntax of :mod:`repro.dl.parser`.
+
+Every snapshot publication — an edit, a replicated batch or base, a
+worker's shipped record — runs one sequence,
+:meth:`ReasoningServer._publish`.
 
 Edit publication is governed separately from query admission: under a
 ``--min-swap-interval-ms`` throttle (or while a publication is already
@@ -58,7 +68,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Awaitable, Callable, Optional
 
 from .. import instdb as _instdb
 from ..core import critique
@@ -143,6 +153,10 @@ def _responsive_gil():
         yield
     finally:
         sys.setswitchinterval(previous)
+
+
+#: a handler's answer: status, JSON body, extra response headers
+Response = tuple[int, dict[str, Any], Optional[dict[str, str]]]
 
 
 class ReasoningServer:
@@ -251,6 +265,24 @@ class ReasoningServer:
             self._instdb_refresh(self.snapshots.current)
         else:
             self._instdb_version = self.snapshots.version
+        #: path → (method, kind, handler); an admitted (``read`` or
+        #: ``write``) handler also receives its ticket's budget
+        self.routes: dict[str, tuple[str, str, Callable[..., Awaitable[Response]]]] = {
+            "/v1/health": ("GET", "open", self._health),
+            "/v1/metrics": ("GET", "open", self._metrics),
+            "/v1/repl/pull": ("POST", "open", self._repl_pull),
+            "/v1/promote": ("POST", "open", self._promote),
+            "/v1/fence": ("POST", "open", self._fence),
+            "/v1/subsumes": ("POST", "read", self._local(self._subsumes)),
+            "/v1/satisfiable": ("POST", "read", self._local(self._satisfiable)),
+            "/v1/classify": ("POST", "read", self._local(self._classify)),
+            "/v1/instances": ("POST", "read", self._local(self._instances)),
+            "/v1/critique": ("POST", "read", self._local(self._critique)),
+            "/v1/tbox": ("POST", "write", self._swap_tbox),
+        }
+        #: awaited in every publication (:meth:`_publish`); a hook must
+        #: not raise — a failed shipment must not fail a durable ack
+        self.publish_hooks: list[Callable[..., Awaitable[None]]] = []
 
     # -- lifecycle ------------------------------------------------------- #
 
@@ -356,94 +388,52 @@ class ReasoningServer:
 
     # -- routing --------------------------------------------------------- #
 
-    async def _dispatch(
-        self, request: HttpRequest
-    ) -> tuple[int, dict[str, Any], Optional[dict[str, str]]]:
-        route = (request.method, request.path)
+    async def _dispatch(self, request: HttpRequest) -> Response:
+        """Route one request through :attr:`routes`; errors become statuses."""
         try:
-            if route == ("GET", "/v1/health"):
-                return (*self._health(), None)
-            if route == ("GET", "/v1/metrics"):
-                return (*self._metrics(), None)
-            if request.path in _CONTROL_POST:
-                # replication control plane: bypasses admission so a
-                # drained, overloaded, or write-refusing server can
-                # still ship records, be fenced, and be promoted
-                if request.method != "POST":
-                    return (*error_body(405, f"{request.path} requires POST"), None)
-                payload = request.json()
-                if request.path == "/v1/repl/pull":
-                    return (*await self._repl_pull(payload), None)
-                if request.path == "/v1/promote":
-                    return (*await self._promote(payload), None)
-                return (*self._fence(payload), None)
-            if request.path in _UNBATCHED_POST or request.path in _BATCHED_POST:
-                if request.method != "POST":
-                    return (*error_body(405, f"{request.path} requires POST"), None)
-                if request.path != "/v1/tbox":
-                    self._check_lag_bound(request)
-                return await self._dispatch_post(request)
-            return (*error_body(404, f"no route {request.path}"), None)
+            route = self.routes.get(request.path)
+            if route is None:
+                return (*error_body(404, f"no route {request.path}"), None)
+            method, kind, handler = route
+            if request.method != method:
+                return (*error_body(405, f"{request.path} requires {method}"), None)
+            if kind == "open":
+                return await handler(request)
+            if kind == "read":
+                self._check_lag_bound(request)
+            ticket = self.admission.admit(write=kind == "write")
+            try:
+                return await handler(request, ticket.budget)
+            finally:
+                ticket.finish()
         except BadRequest as exc:
             return (*error_body(400, str(exc)), None)
         except ParseError as exc:
             return (*error_body(400, f"concept syntax: {exc}"), None)
         except AdmissionError as exc:
-            extra = (
-                {} if exc.location is None else {"primary": exc.location}
-            )
+            extra = {} if exc.location is None else {"primary": exc.location}
             status, body = error_body(exc.status, str(exc), **extra)
             return status, body, {"Retry-After": f"{exc.retry_after_s:.3f}"}
         except Exception as exc:  # noqa: BLE001 - the loop must survive anything
             _obs.incr("serve.internal_errors")
             return (*error_body(500, f"{type(exc).__name__}: {exc}"), None)
 
-    async def _dispatch_post(
-        self, request: HttpRequest
-    ) -> tuple[int, dict[str, Any], Optional[dict[str, str]]]:
-        payload = request.json()
-        ticket = self.admission.admit(write=request.path == "/v1/tbox")
-        snapshot = self.snapshots.acquire()
-        try:
-            if request.path == "/v1/subsumes":
-                general = parse_concept(str(require(payload, "general")))
-                specific = parse_concept(str(require(payload, "specific")))
-                answer = await self.batcher.submit(
-                    KIND_SUBSUMES, snapshot, (general, specific), ticket.budget
-                )
-                status, body = verdict_body(
-                    answer.verdict,
-                    source=answer.source,
-                    tbox_version=snapshot.version,
-                )
-                return status, body, None
-            if request.path == "/v1/satisfiable":
-                concept = parse_concept(str(require(payload, "concept")))
-                answer = await self.batcher.submit(
-                    KIND_SATISFIABLE, snapshot, (concept,), ticket.budget
-                )
-                status, body = verdict_body(
-                    answer.verdict,
-                    source=answer.source,
-                    tbox_version=snapshot.version,
-                )
-                return status, body, None
-            if request.path == "/v1/classify":
-                return (*self._classify(snapshot), None)
-            if request.path == "/v1/instances":
-                return (*self._instances(snapshot, payload, ticket.budget), None)
-            if request.path == "/v1/critique":
-                return (*await self._critique(snapshot, payload), None)
-            if request.path == "/v1/tbox":
-                return (*await self._swap_tbox(payload), None)
-            raise BadRequest(f"unrouted POST {request.path}")  # pragma: no cover
-        finally:
-            snapshot.release()
-            ticket.finish()
+    def _local(self, answer):
+        """A read answered here, from one snapshot pinned for the request."""
+
+        async def handler(request: HttpRequest, budget: Budget) -> Response:
+            payload = request.json()
+            snapshot = self.snapshots.acquire()
+            try:
+                return (*await answer(snapshot, payload, budget), None)
+            finally:
+                snapshot.release()
+
+        return handler
 
     # -- handlers -------------------------------------------------------- #
 
-    def _health(self) -> tuple[int, dict[str, Any]]:
+    async def _health(self, request: HttpRequest) -> Response:
         snapshot = self.snapshots.current
         return 200, {
             "status": "draining" if self.admission.draining else "ok",
@@ -457,9 +447,9 @@ class ReasoningServer:
             "inflight": self.admission.inflight,
             "pending_batch": self.batcher.pending,
             "instdb": self._instdb_block(),
-        }
+        }, None
 
-    def _metrics(self) -> tuple[int, dict[str, Any]]:
+    async def _metrics(self, request: HttpRequest) -> Response:
         snapshot = self.snapshots.current
         body = {
             "metrics": _obs.get_recorder().snapshot(),
@@ -480,7 +470,23 @@ class ReasoningServer:
             body["serve"]["editlog"] = self.editlog.stats()
         body["serve"]["replication"] = self._replication_block()
         body["serve"]["instdb"] = self._instdb_block(full=True)
-        return 200, body
+        return 200, body, None
+
+    async def _subsumes(self, snapshot, payload, budget):
+        general = parse_concept(str(require(payload, "general")))
+        specific = parse_concept(str(require(payload, "specific")))
+        return await self._batched(snapshot, KIND_SUBSUMES, (general, specific), budget)
+
+    async def _satisfiable(self, snapshot, payload, budget):
+        concept = parse_concept(str(require(payload, "concept")))
+        return await self._batched(snapshot, KIND_SATISFIABLE, (concept,), budget)
+
+    async def _batched(self, snapshot, kind, query, budget):
+        """One batched check over the pinned snapshot."""
+        answer = await self.batcher.submit(kind, snapshot, query, budget)
+        return verdict_body(
+            answer.verdict, source=answer.source, tbox_version=snapshot.version
+        )
 
     def _instdb_block(self, full: bool = False) -> dict[str, Any]:
         """Instance-store state for /v1/health (cheap) and /v1/metrics."""
@@ -556,13 +562,13 @@ class ReasoningServer:
             block["probe_failures"] = channel.consecutive_failures
         return block
 
-    async def _repl_pull(self, payload: dict[str, Any]) -> tuple[int, dict[str, Any]]:
+    async def _repl_pull(self, request: HttpRequest) -> Response:
         """Ship sealed records (or the base) to a polling follower."""
         if self.editlog is None:
-            return error_body(
+            return (*error_body(
                 503, "replication requires --edit-log on this server"
-            )
-        after = payload.get("after", 0)
+            ), None)
+        after = request.json().get("after", 0)
         if not isinstance(after, int) or after < 0:
             raise BadRequest(f"'after' must be a non-negative integer, got {after!r}")
         need_base, records = await asyncio.to_thread(
@@ -579,21 +585,22 @@ class ReasoningServer:
         }
         if need_base:
             body["base"] = await asyncio.to_thread(self.editlog.base_snapshot)
-        return 200, body
+        return 200, body, None
 
-    def _fence(self, payload: dict[str, Any]) -> tuple[int, dict[str, Any]]:
+    async def _fence(self, request: HttpRequest) -> Response:
         """Accept (or refuse, 409) a fence from a higher-epoch primary."""
+        payload = request.json()
         epoch = payload.get("epoch")
         if not isinstance(epoch, int):
             raise BadRequest(f"'epoch' must be an integer, got {epoch!r}")
         primary = payload.get("primary")
         primary = str(primary) if primary is not None else None
         if not self.epochs.fence(epoch, primary):
-            return error_body(
+            return (*error_body(
                 409,
                 f"stale fence: epoch {epoch} <= current {self.epochs.epoch}",
                 epoch=self.epochs.epoch,
-            )
+            ), None)
         # persisted before this point: even a crash right here leaves a
         # server that restarts read-only
         self.admission.refuse_writes("fenced", primary)
@@ -602,26 +609,26 @@ class ReasoningServer:
             "fenced": True,
             "epoch": self.epochs.epoch,
             "role": self.epochs.role,
-        }
+        }, None
 
-    async def _promote(self, payload: dict[str, Any]) -> tuple[int, dict[str, Any]]:
+    async def _promote(self, request: HttpRequest) -> Response:
         """Promote this follower to primary (idempotent on a primary)."""
         if self.epochs.fenced:
             # a fenced server's log may be behind the primary that fenced
             # it; promoting it would fork the lineage
-            return error_body(
+            return (*error_body(
                 409,
                 f"fenced by epoch {self.epochs.fenced_by}; a fenced server "
                 "cannot self-promote",
                 epoch=self.epochs.epoch,
-            )
+            ), None)
         if self.epochs.role == "primary":
             return 200, {
                 "promoted": False,
                 "role": "primary",
                 "epoch": self.epochs.epoch,
                 "tbox_version": self.snapshots.version,
-            }
+            }, None
         epoch = await self._become_primary()
         return 200, {
             "promoted": True,
@@ -629,7 +636,7 @@ class ReasoningServer:
             "epoch": epoch,
             "tbox_version": self.snapshots.version,
             "logged_version": self._logged_version,
-        }
+        }, None
 
     async def _auto_promote(self) -> None:
         """The channel's probe-failure path: promote without an operator."""
@@ -692,23 +699,19 @@ class ReasoningServer:
         """Publish a just-applied batch so the snapshot chain stays warm.
 
         One publish per poll batch: a multi-record catch-up batch
-        publishes once, at the batch tip.
+        publishes once, at the batch tip.  A failure is counted and
+        swallowed, so the channel keeps polling.
         """
-        if not records or self.editlog is None:
-            return
-        version = records[-1].version
-        tbox = self.editlog.tbox
-        self._logged_version = max(self._logged_version, version)
-        record = records[-1] if len(records) == 1 else None
-        try:
-            _old, prepared = await self._publish(tbox, version, record)
-        except Exception:  # noqa: BLE001 - the channel must survive
-            _obs.incr("serve.publish_errors")
-            return
-        await self._refresh_instdb(prepared)
+        if records:
+            with contextlib.suppress(Exception):
+                await self._on_replicated_base(
+                    records[-1].version, records[-1] if len(records) == 1 else None
+                )
 
-    async def _on_replicated_base(self, version: int) -> None:
-        """Publish a freshly installed base snapshot.
+    async def _on_replicated_base(
+        self, version: int, record: Optional[EditRecord] = None
+    ) -> None:
+        """Publish the applied log's tip: an installed base or a batch.
 
         Raises on failure: the installed base already advanced the
         durable log to the primary's tip, so the next pull will never
@@ -717,16 +720,14 @@ class ReasoningServer:
         """
         if self.editlog is None or version <= self.snapshots.version:
             return
-        tbox = self.editlog.tbox
         self._logged_version = max(self._logged_version, version)
         try:
-            _old, prepared = await self._publish(tbox, version, None)
+            await self._publish(self.editlog.tbox, version, record)
         except Exception:
             _obs.incr("serve.publish_errors")
             raise
-        await self._refresh_instdb(prepared)
 
-    def _classify(self, snapshot) -> tuple[int, dict[str, Any]]:
+    async def _classify(self, snapshot, payload, budget) -> tuple[int, dict[str, Any]]:
         hierarchy = snapshot.hierarchy
         if hierarchy is None:  # pragma: no cover - retired before release
             hierarchy = snapshot.reasoner.classify()
@@ -745,7 +746,7 @@ class ReasoningServer:
             return 206, body
         return 200, body
 
-    def _instances(
+    async def _instances(
         self, snapshot, payload: dict[str, Any], budget: Budget
     ) -> tuple[int, dict[str, Any]]:
         from ..dl.abox import ABox, ConceptAssertion, RoleAssertion
@@ -841,7 +842,7 @@ class ReasoningServer:
             self._instdb_version = snapshot.version
 
     async def _refresh_instdb(self, snapshot) -> None:
-        """Post-swap hook: re-derive stored types off the event loop."""
+        """Re-derive stored types off the event loop, after a swap."""
         if not self.config.instdb_refresh or (
             self.instdb.individual_count() == 0 and not self._instdb_closures
         ):
@@ -853,41 +854,37 @@ class ReasoningServer:
             _obs.incr("instdb.refresh_errors")
 
     async def _publish(
-        self, tbox: TBox, version: int, record: Optional[EditRecord]
+        self, tbox: Optional[TBox], version: int, record: Optional[EditRecord]
     ) -> tuple[Snapshot, Snapshot]:
-        """The one publish sequence: prepare, swap, hook, then visibility.
+        """The one publish sequence: prepare, swap, hooks, visibility, refresh.
 
-        Classification of the successor runs in a worker thread, so the
-        event loop keeps answering from the current snapshot.  Swap
-        visibility is credited only once :meth:`_after_publish` has
-        returned: on a multi-worker front that hook is the broadcast, and
-        the workers serve every read.  Returns the retired and the
-        installed snapshot; callers keep their own locking, error
-        counting, and instance-store refresh.
+        The successor is classified in a worker thread from ``tbox``, or
+        from the shipped ``record`` alone when ``tbox`` is None, so the
+        event loop keeps answering from the current snapshot.  Each of
+        :attr:`publish_hooks` gets the retired and installed snapshots
+        and ``record`` (None for coalesced publishes, base installs and
+        logless swaps).  Swap visibility is credited after the hooks: on
+        a multi-worker front the hook is the broadcast, and the workers
+        serve every read.  Callers keep their own locking and errors.
         """
         with _responsive_gil():
-            prepared = await asyncio.to_thread(
-                self.snapshots.prepare, tbox, version=version
-            )
+            if tbox is None:
+                prepared = await asyncio.to_thread(
+                    self.snapshots.prepare_delta, record
+                )
+            else:
+                prepared = await asyncio.to_thread(
+                    self.snapshots.prepare, tbox, version=version
+                )
         old = self.snapshots.swap(prepared)
-        await self._after_publish(old, prepared, record)
+        for hook in self.publish_hooks:
+            await hook(old, prepared, record)
         self._observe_visibility(version)
+        await self._refresh_instdb(prepared)
         return old, prepared
 
-    async def _after_publish(self, old, prepared, record) -> None:
-        """Hook invoked after every snapshot publication.
-
-        ``old``/``prepared`` are the retired and installed snapshots;
-        ``record`` is the edit-log record that produced the publication
-        when there was exactly one (None for coalesced publishes, base
-        installs, and logless swaps).  The base class does nothing; the
-        multi-worker front (:class:`repro.serve.workers.FrontServer`)
-        overrides this to ship the delta to every worker.  Must not
-        raise — a failed shipment must not fail an already-durable ack.
-        """
-
     async def _critique(
-        self, snapshot, payload: dict[str, Any]
+        self, snapshot, payload: dict[str, Any], budget: Budget
     ) -> tuple[int, dict[str, Any]]:
         if "tbox" in payload:
             tbox = parse_tbox(str(payload["tbox"]))
@@ -906,7 +903,7 @@ class ReasoningServer:
             "report": report.render(),
         }
 
-    async def _swap_tbox(self, payload: dict[str, Any]) -> tuple[int, dict[str, Any]]:
+    async def _swap_tbox(self, request: HttpRequest, budget: Budget) -> Response:
         """Log-then-publish: ack durability first, swap when allowed.
 
         The edit is appended to the edit log (when configured) *before*
@@ -917,7 +914,7 @@ class ReasoningServer:
         publisher and the response says ``deferred`` (first in the
         queue) or ``coalesced`` (it superseded the queued edit).
         """
-        tbox = parse_tbox(str(require(payload, "tbox")))
+        tbox = parse_tbox(str(require(request.json(), "tbox")))
         record: Optional[EditRecord] = None
         async with self._swap_lock:
             if self.editlog is not None:
@@ -947,16 +944,16 @@ class ReasoningServer:
                 "tbox_version": version,
                 "published_version": self.snapshots.version,
                 "axioms": len(tbox),
-            }
+            }, None
         try:
             # multi-worker front: the record ships while _publishing still
-            # holds, so broadcasts reach the workers in version order
+            # holds, so broadcasts reach the workers in version order; an
+            # edit that arrives before the refresh is done is deferred
             old, prepared = await self._publish(tbox, version, record)
         finally:
             async with self._swap_lock:
                 self._publishing = False
                 self._last_swap = time.monotonic()
-        await self._refresh_instdb(prepared)
         self._kick_publisher()  # an edit may have queued during prepare
         return 200, {
             "swap_status": "applied",
@@ -965,7 +962,7 @@ class ReasoningServer:
             "retired_version": old.version,
             "retired_refs": old.refs,
             "swap_mode": prepared.swap_mode,
-        }
+        }, None
 
     # -- deferred publication -------------------------------------------- #
 
@@ -1009,19 +1006,10 @@ class ReasoningServer:
                 await asyncio.sleep(wait)
                 continue
             try:
-                _old, prepared = await self._publish(tbox, version, record)
-                await self._refresh_instdb(prepared)
+                await self._publish(tbox, version, record)
             except Exception:  # noqa: BLE001 - the publisher must survive
                 _obs.incr("serve.publish_errors")
             finally:
                 async with self._swap_lock:
                     self._publishing = False
                     self._last_swap = time.monotonic()
-
-
-_BATCHED_POST = frozenset({"/v1/subsumes", "/v1/satisfiable"})
-_UNBATCHED_POST = frozenset(
-    {"/v1/classify", "/v1/instances", "/v1/critique", "/v1/tbox"}
-)
-#: replication control plane: admitted outside the load/write policy
-_CONTROL_POST = frozenset({"/v1/repl/pull", "/v1/promote", "/v1/fence"})

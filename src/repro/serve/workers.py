@@ -15,11 +15,17 @@ its **own** sqlite instance-store connection — inherited sqlite handles
 are unsafe across ``fork()`` and the backend's pid guard
 (:mod:`repro.instdb.sqlite`) would refuse them.
 
+**Roles by registration.** Both roles are a :class:`ReasoningServer`
+that registers into its route table and publish hooks instead of
+overriding them: a worker adds its control routes (``/v1/ctl/*``); the
+front answers every read route with its proxy, health and metrics with
+pool-wide views, and appends its broadcast to the publish hooks.
+
 **Hot swaps** ship edits, not TBoxes: the front appends to the edit
-log and prepares its own successor, then ships the sealed edit record
-to every worker over the control channel; each worker applies the
-record's axiom texts to its current TBox and prepares the result
-through the same swap path (:meth:`SnapshotManager.prepare_delta`).
+log and publishes its own successor, whose publish hook ships the
+sealed edit record to every worker over the control channel; each
+worker publishes the record through the same sequence, applying its
+axiom texts to its current TBox (:meth:`SnapshotManager.prepare_delta`).
 Shipments carry the predecessor version; a worker whose base doesn't
 match answers 409 and is restarted (re-forked from the front's
 *current* snapshot), so version skew among live workers is bounded by
@@ -66,11 +72,11 @@ from typing import Any, Optional
 
 from ..dl.diff import axiom_diff
 from ..obs import recorder as _obs
-from .admission import AdmissionError, WorkerShare, slice_allowance
+from .admission import WorkerShare, slice_allowance
 from .control import WorkerClient
 from .editlog import EditRecord
 from .protocol import BadRequest, HttpRequest, error_body
-from .server import ReasoningServer, ServeConfig, _responsive_gil
+from .server import ReasoningServer, Response, ServeConfig
 from .snapshot import SnapshotManager
 
 __all__ = [
@@ -79,13 +85,6 @@ __all__ = [
     "WorkerSupervisor",
     "WorkerStartError",
 ]
-
-#: the read routes the front proxies to workers (writes and the control
-#: plane stay on the front, which owns the log and replication)
-PROXIED_POSTS = frozenset(
-    {"/v1/subsumes", "/v1/satisfiable", "/v1/classify", "/v1/instances",
-     "/v1/critique"}
-)
 
 #: how long the front waits for a routing slot before giving up (503);
 #: only reached when every live worker is at its share capacity
@@ -110,10 +109,11 @@ class WorkerStartError(Exception):
 class WorkerServer(ReasoningServer):
     """One worker process: the full reasoning server over a Unix socket.
 
-    Inherits every data-plane route; adds the control plane the front
-    drives (``/v1/ctl/ping``, ``/v1/ctl/swap``, ``/v1/ctl/obs``).  Has
-    no edit log, no replication, and no publisher of its own — edits
-    arrive only as shipped records.
+    Answers every data-plane route from its own snapshot and registers
+    the control routes the front drives (``/v1/ctl/ping``,
+    ``/v1/ctl/swap``, ``/v1/ctl/obs``) as ``open`` routes.  Has no edit
+    log, no replication, and no publisher of its own — edits arrive only
+    as shipped records, published through the same sequence.
     """
 
     def __init__(
@@ -128,6 +128,11 @@ class WorkerServer(ReasoningServer):
         super().__init__(tbox, config, snapshot_manager=snapshot_manager)
         self.index = index
         self.socket_path = socket_path
+        self.routes.update({
+            "/v1/ctl/ping": ("GET", "open", self._ctl_ping),
+            "/v1/ctl/obs": ("GET", "open", self._ctl_obs),
+            "/v1/ctl/swap": ("POST", "open", self._ctl_swap),
+        })
 
     async def start(self) -> tuple[str, int]:
         self._server = await asyncio.start_unix_server(
@@ -141,49 +146,23 @@ class WorkerServer(ReasoningServer):
         with contextlib.suppress(FileNotFoundError, OSError):
             os.unlink(self.socket_path)
 
-    async def _dispatch(
-        self, request: HttpRequest
-    ) -> tuple[int, dict[str, Any], Optional[dict[str, str]]]:
-        if request.path.startswith("/v1/ctl/"):
-            try:
-                route = (request.method, request.path)
-                if route == ("GET", "/v1/ctl/ping"):
-                    return (*self._ctl_ping(), None)
-                if route == ("GET", "/v1/ctl/obs"):
-                    return 200, {
-                        "index": self.index,
-                        "pid": os.getpid(),
-                        "version": self.snapshots.version,
-                        "recorder": _obs.get_recorder().snapshot(samples=True),
-                    }, None
-                if route == ("POST", "/v1/ctl/swap"):
-                    status, body = await self._ctl_swap(request.json())
-                    return status, body, None
-                return (
-                    *error_body(404, f"no control route {request.method} "
-                                     f"{request.path}"),
-                    None,
-                )
-            except BadRequest as exc:
-                return (*error_body(400, str(exc)), None)
-            except Exception as exc:  # noqa: BLE001 - worker must survive
-                _obs.incr("serve.internal_errors")
-                return (*error_body(500, f"{type(exc).__name__}: {exc}"), None)
-        return await super()._dispatch(request)
-
-    def _ctl_ping(self) -> tuple[int, dict[str, Any]]:
+    async def _ctl_ping(self, request: HttpRequest) -> Response:
         return 200, {
             "index": self.index,
             "pid": os.getpid(),
             "version": self.snapshots.version,
             "inflight": self.admission.inflight,
             "axioms": len(self.snapshots.current.tbox),
-        }
+        }, None
 
-    async def _ctl_swap(
-        self, payload: dict[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
+    async def _ctl_obs(self, request: HttpRequest) -> Response:
+        status, body, extra = await self._ctl_ping(request)
+        body["recorder"] = _obs.get_recorder().snapshot(samples=True)
+        return status, body, extra
+
+    async def _ctl_swap(self, request: HttpRequest) -> Response:
         """Apply one shipped edit record and swap its successor in."""
+        payload = request.json()
         record = EditRecord.from_json(payload.get("record"))
         if record is None:
             raise BadRequest("swap requires a well-formed record")
@@ -196,7 +175,7 @@ class WorkerServer(ReasoningServer):
                 _obs.incr("workers.stale_swaps_skipped")
                 return 200, {
                     "applied": False, "reason": "stale", "version": current,
-                }
+                }, None
             if isinstance(base_version, int) and base_version != current:
                 # the record's delta was computed against a version this
                 # worker never held; applying it would corrupt — ask the
@@ -204,19 +183,14 @@ class WorkerServer(ReasoningServer):
                 return 409, {
                     "applied": False, "reason": "out-of-sync",
                     "version": current,
-                }
-            with _responsive_gil():
-                prepared = await asyncio.to_thread(
-                    self.snapshots.prepare_delta, record
-                )
-            self.snapshots.swap(prepared)
+                }, None
+            _old, prepared = await self._publish(None, record.version, record)
             self._logged_version = max(self._logged_version, prepared.version)
-        await self._refresh_instdb(prepared)
         return 200, {
             "applied": True,
             "version": prepared.version,
             "swap_mode": prepared.swap_mode,
-        }
+        }, None
 
 
 async def _serve_worker(
@@ -598,11 +572,12 @@ class WorkerSupervisor:
 class FrontServer(ReasoningServer):
     """The routing front: accept, admission, proxy, swap fan-out.
 
-    Inherits the whole single-process server — edit log, recovery,
-    replication, publisher, epochs — and overrides exactly three seams:
-    reads are proxied to workers instead of answered locally, every
-    snapshot publication additionally ships its record to the pool
-    (:meth:`_after_publish`), and health/metrics aggregate the pool.
+    The whole single-process server — edit log, recovery, replication,
+    publisher, epochs — with three registrations instead of overrides:
+    every ``read`` route is answered by :meth:`_proxy` on a worker,
+    ``/v1/health`` and ``/v1/metrics`` report the pool, and every
+    snapshot publication ships its record to the pool
+    (:meth:`_broadcast`, a publish hook).
     """
 
     def __init__(
@@ -618,6 +593,15 @@ class FrontServer(ReasoningServer):
             tbox, dataclasses.replace(config, instdb_refresh=False)
         )
         self.supervisor = WorkerSupervisor(self, config)
+        # writes and the replication plane stay here, with the log
+        self.routes.update({
+            path: (method, kind, self._proxy)
+            for path, (method, kind, _) in self.routes.items()
+            if kind == "read"
+        })
+        self.routes["/v1/health"] = ("GET", "open", self._pool_health)
+        self.routes["/v1/metrics"] = ("GET", "open", self._pool_metrics)
+        self.publish_hooks.append(self._broadcast)
 
     async def start(self) -> tuple[str, int]:
         address = await super().start()
@@ -635,7 +619,7 @@ class FrontServer(ReasoningServer):
 
     # -- publication fan-out -------------------------------------------- #
 
-    async def _after_publish(self, old, prepared, record) -> None:
+    async def _broadcast(self, old, prepared, record) -> None:
         try:
             rec = record
             if (
@@ -655,42 +639,13 @@ class FrontServer(ReasoningServer):
 
     # -- routing --------------------------------------------------------- #
 
-    async def _dispatch(
-        self, request: HttpRequest
-    ) -> tuple[int, dict[str, Any], Optional[dict[str, str]]]:
-        if (request.method, request.path) == ("GET", "/v1/metrics"):
-            try:
-                return (*await self._metrics_aggregate(), None)
-            except Exception as exc:  # noqa: BLE001
-                _obs.incr("serve.internal_errors")
-                return (*error_body(500, f"{type(exc).__name__}: {exc}"), None)
-        if request.method == "POST" and request.path in PROXIED_POSTS:
-            try:
-                self._check_lag_bound(request)
-                ticket = self.admission.admit(write=False)
-            except BadRequest as exc:
-                return (*error_body(400, str(exc)), None)
-            except AdmissionError as exc:
-                extra = {} if exc.location is None else {"primary": exc.location}
-                status, body = error_body(exc.status, str(exc), **extra)
-                return status, body, {"Retry-After": f"{exc.retry_after_s:.3f}"}
-            try:
-                return await self._proxy(request)
-            except Exception as exc:  # noqa: BLE001 - the loop must survive
-                _obs.incr("serve.internal_errors")
-                return (*error_body(500, f"{type(exc).__name__}: {exc}"), None)
-            finally:
-                ticket.finish()
-        return await super()._dispatch(request)
-
-    async def _proxy(
-        self, request: HttpRequest
-    ) -> tuple[int, dict[str, Any], Optional[dict[str, str]]]:
+    async def _proxy(self, request: HttpRequest, budget) -> Response:
         """Relay one read to a worker; retry siblings on transport death.
 
         Only reads are proxied, so a retry after a mid-request worker
         death is safe — the client sees one answer from whichever
-        sibling completed it.
+        sibling completed it.  The worker computes the request's budget
+        from the same global allowance, so the front's is unused.
         """
         tried: set[int] = set()
         last_error: Optional[BaseException] = None
@@ -728,12 +683,12 @@ class FrontServer(ReasoningServer):
 
     # -- aggregation ------------------------------------------------------ #
 
-    def _health(self) -> tuple[int, dict[str, Any]]:
-        status, body = super()._health()
+    async def _pool_health(self, request: HttpRequest) -> Response:
+        status, body, extra = await self._health(request)
         body["workers"] = self.supervisor.health_block()
-        return status, body
+        return status, body, extra
 
-    async def _metrics_aggregate(self) -> tuple[int, dict[str, Any]]:
+    async def _pool_metrics(self, request: HttpRequest) -> Response:
         """``/v1/metrics`` with the recorder merged across the pool.
 
         The front's recorder (admission, routing, publication) and each
@@ -742,7 +697,7 @@ class FrontServer(ReasoningServer):
         workers' wire-shipped snapshots — including raw sample rings, so
         latency quantiles are pool-wide.
         """
-        status, body = self._metrics()
+        status, body, extra = await self._metrics(request)
         merged = _obs.Recorder()
         front_recorder = _obs.get_recorder()
         if front_recorder is not _obs.NULL:
@@ -761,7 +716,7 @@ class FrontServer(ReasoningServer):
         if errors:
             block["obs_errors"] = errors
         body["serve"]["workers"] = block
-        return status, body
+        return status, body, extra
 
     def handles_up(self) -> list[WorkerHandle]:
         return [h for h in self.supervisor.handles if h.state == "up"]

@@ -192,6 +192,6 @@ class TestStarvedModels:
         tbox = parse_tbox("A [= B\nB [= A | ~B\nB [= C | ~B")
         with faults.use_faults(FaultPlan({"exhaustion"}, period=25, seed=12)):
             h = classify(tbox, budget=Budget(max_nodes=1000))
-        assert ("A", "C") in h.incomplete
+        assert ("A", "C") not in h.incomplete  # the closure answers it
         assert h.equivalents("A") == frozenset({"A", "B"})
         assert h.is_subsumed_by("A", "C")  # A ⊑ B ⊑ C, by transitivity

@@ -125,3 +125,20 @@ def test_budgeted_hierarchy_is_sound(tbox, max_nodes, armed, fault_seed):
                 )
     if not partial.incomplete:
         _assert_same_hierarchy(partial, brute)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    tbox=_tboxes,
+    max_nodes=st.integers(min_value=1, max_value=12),
+    armed=st.sampled_from(_FAULTS),
+    fault_seed=st.integers(min_value=0, max_value=4),
+)
+def test_budgeted_hierarchy_opens_no_asserted_pair(tbox, max_nodes, armed, fault_seed):
+    # no oracle needed: a pair the partial hierarchy asserts is answered,
+    # whichever question about it ran out of budget
+    plan = FaultPlan(armed, seed=fault_seed) if armed else faults.NULL_PLAN
+    with faults.use_faults(plan):
+        partial = classify(tbox, budget=Budget(max_nodes=max_nodes))
+    for specific, general in partial.incomplete:
+        assert not partial.is_subsumed_by(specific, general), (specific, general)

@@ -544,6 +544,33 @@ class TestServerReplication:
             )
             assert status == 400
 
+    def test_follower_installs_a_base_over_the_worker_reply_cap(self, tmp_path):
+        from repro.serve.control import MAX_RESPONSE_BODY
+
+        # a TBox loaded at boot has no size cap, and a base ships it whole
+        names = [f"n{i}_" + "x" * 65_536 for i in range(72)]
+        text = "".join(f"{name} [= car\n" for name in names)
+        assert len(text) > MAX_RESPONSE_BODY
+        with ServerThread(
+            parse_tbox(text), _primary_config(tmp_path)
+        ) as primary:
+            with ServerThread(
+                None, _follower_config(tmp_path, _url(primary))
+            ) as follower:
+                assert _wait_until(
+                    lambda: follower.request("GET", "/v1/health")[1][
+                        "tbox_version"
+                    ] == 1
+                ), "follower never installed the base"
+                _, health = follower.request("GET", "/v1/health")
+                assert health["replication"]["probe_failures"] == 0
+                status, answer = follower.request(
+                    "POST",
+                    "/v1/subsumes",
+                    {"general": "car", "specific": names[-1]},
+                )
+                assert (status, answer["answer"]) == (200, True)
+
     def test_pull_against_a_logless_server_is_503(self):
         with ServerThread(VEHICLES) as server:
             status, body = server.request(
@@ -576,6 +603,31 @@ class TestFollowerChannelUnit:
         outcome = asyncio.run(channel.poll_once())
         assert outcome == "unreachable"
         assert channel.consecutive_failures == 1
+
+    def test_truncated_reply_counts_as_unreachable(self, tmp_path):
+        import asyncio
+
+        # the peer promises 100 body bytes, sends a valid JSON prefix and
+        # hangs up: framed by Content-Length, that is no reply at all
+        async def peer(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
+            await writer.drain()
+            writer.close()
+
+        async def poll():
+            server = await asyncio.start_server(peer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                channel = FollowerChannel(
+                    f"http://127.0.0.1:{port}",
+                    EditLog.open(tmp_path, initial_version=0),
+                    EpochStore(tmp_path),
+                    timeout_s=2.0,
+                )
+                return await channel.poll_once(), channel.consecutive_failures
+
+        assert asyncio.run(poll()) == ("unreachable", 1)
 
     def test_bad_url_fails_fast(self, tmp_path):
         editlog = EditLog.open(tmp_path, initial_version=0)

@@ -137,6 +137,11 @@ class TestErrorPaths:
         status, _ = server.request("GET", "/v1/subsumes")
         assert status == 405
 
+    def test_wrong_method_on_an_open_route_is_405(self, server):
+        status, body = server.request("POST", "/v1/health", {})
+        assert status == 405
+        assert "requires GET" in body["message"]
+
     def test_missing_field_is_400(self, server):
         status, body = server.request("POST", "/v1/subsumes", {"general": "car"})
         assert status == 400
@@ -214,6 +219,13 @@ class TestHotSwap:
             assert (status, body["answer"], body["tbox_version"]) == (200, False, 2)
             status, body = client.request("GET", "/v1/health")
             assert body["tbox_version"] == 2
+
+    def test_lone_edit_pins_no_snapshot(self, server):
+        # a write acquires no snapshot: with no read in flight, nothing
+        # holds the retired version when the swap releases it
+        status, body = server.request("POST", "/v1/tbox", {"tbox": "car [= toy"})
+        assert (status, body["swap_status"]) == (200, "applied")
+        assert body["retired_refs"] == 0
 
     def test_swap_reports_mode(self, server):
         with server.client() as client:
@@ -343,6 +355,43 @@ class TestEditPublicationContract:
         assert status == 200
         assert body["swap_status"] == "applied"
         assert body["tbox_version"] == 2 and body["retired_version"] == 1
+
+    def test_edit_during_a_held_refresh_is_deferred(self, server):
+        # the instance-store refresh closes the publication: an edit that
+        # arrives while it runs queues behind it, as during the prepare
+        held, release = threading.Event(), threading.Event()
+        refresh = server.server._refresh_instdb
+
+        async def held_refresh(snapshot):
+            held.set()
+            await asyncio.to_thread(release.wait, 30.0)
+            await refresh(snapshot)
+
+        server.server._refresh_instdb = held_refresh
+        first = []
+        edit = threading.Thread(
+            target=lambda: first.append(
+                server.request("POST", "/v1/tbox", {"tbox": "car [= toy"})
+            )
+        )
+        edit.start()
+        try:
+            assert held.wait(30.0), "the first edit never reached its refresh"
+            status, body = server.request(
+                "POST", "/v1/tbox", {"tbox": "car [= truck"}
+            )
+            assert (status, body["swap_status"]) == (200, "deferred")
+            assert (body["tbox_version"], body["published_version"]) == (3, 2)
+            assert first == []  # the first ack waits for its refresh
+        finally:
+            release.set()
+            edit.join(30.0)
+        assert not edit.is_alive()
+        status, body = first[0]
+        assert (status, body["swap_status"]) == (200, "applied")
+        wait_for_drain(server)
+        _status, health = server.request("GET", "/v1/health")
+        assert health["tbox_version"] == 3
 
     def test_deferral_is_published_once_the_throttle_allows(self):
         config = ServeConfig(port=0, min_swap_interval_ms=150.0)
@@ -568,7 +617,7 @@ class TestLiveEditStream:
 
 
 class TestPublishOrder:
-    """Swap visibility is credited once the after-publish hook returns.
+    """Swap visibility is credited once the publish hooks return.
 
     On a ``--workers N`` front that hook is the broadcast to the workers,
     and the workers serve every read: an edit is not visible before the
@@ -598,7 +647,7 @@ class TestPublishOrder:
         config = ServeConfig(port=0, min_swap_interval_ms=throttle_ms)
         with use_recorder(recorder):
             with ServerThread(parse_tbox(VEHICLES), config) as server:
-                server.server._after_publish = hook
+                server.server.publish_hooks.append(hook)
                 status, body = server.request(
                     "POST", "/v1/tbox", {"tbox": VEHICLES + "van [= motorvehicle"}
                 )
