@@ -437,7 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="start the batched JSON-over-HTTP reasoning service",
-        epilog="degradation: budget-exhausted answers are HTTP 206 "
+        epilog="batching: /v1/subsumes and /v1/satisfiable are held for "
+        "--batch-window-ms; the checks that arrive in one window are "
+        "answered as one batch.  Each snapshot's reasoner keeps "
+        "what classification learned and a bounded share of what "
+        "traffic taught it: once queries intern a fixed number of "
+        "concepts past the classified table, those concepts and their "
+        "cached answers are dropped.  "
+        "degradation: budget-exhausted answers are HTTP 206 "
         "(UNKNOWN verdict body); admission refusals are 429/503 with "
         "Retry-After.  Edits degrade in frequency, not latency: a "
         "throttled POST /v1/tbox is logged, acked 200, and reported "
@@ -458,9 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--batch-window-ms",
         type=float,
-        default=5.0,
+        default=3.0,
         metavar="MS",
-        help="how long to hold a check for coalescing (default: 5)",
+        help="how long to hold a check for coalescing (default: 3)",
     )
     p_serve.add_argument(
         "--batch-max",

@@ -98,6 +98,13 @@ class InternTable:
         """All interned items, id order (index == id)."""
         return list(self._items)
 
+    def prefix(self, size: int) -> "InternTable":
+        """A new table of the first ``size`` items, each under its id here."""
+        table = object.__new__(type(self))
+        table._items = self._items[:size]
+        table._ids = {item: i for i, item in enumerate(table._items)}
+        return table
+
 
 #: Fixed ids of ⊤ and ⊥ in every :class:`ConceptTable`.
 TOP_ID = 0

@@ -64,8 +64,9 @@ def _nnf(c: Concept, positive: bool) -> Concept:
     if len(_nnf_cache) >= _CACHE_CAP:
         # FIFO eviction: dicts iterate in insertion order, so dropping the
         # first key retires the oldest entry.  A wholesale clear() here
-        # used to throw away 65k warm entries to admit one.
-        _nnf_cache.pop(next(iter(_nnf_cache)))
+        # used to throw away 65k warm entries to admit one.  Another
+        # thread may clear or evict meanwhile, so the key may be gone.
+        _nnf_cache.pop(next(iter(_nnf_cache), None), None)
         _obs.incr("nnf.cache_evictions")
     _nnf_cache[key] = result
     return result

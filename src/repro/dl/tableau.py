@@ -94,6 +94,14 @@ class _Info:
         self.neg = -1
         self.skey = ""
 
+    def below(self, cut: int) -> "_Info":
+        """A copy for a table cut at ``cut`` ids (``neg`` past it is unset)."""
+        copy = _Info(self.kind)
+        copy.mask, copy.ids, copy.a = self.mask, self.ids, self.a
+        copy.role, copy.n, copy.skey = self.role, self.n, self.skey
+        copy.neg = self.neg if self.neg < cut else -1
+        return copy
+
 
 class _State:
     """A completion graph: labels, role edges, distinctness, provenance.
@@ -228,6 +236,31 @@ class Tableau:
             else:
                 constraint = to_nnf(Or.of([negate(gci.lhs), to_nnf(gci.rhs)]))
                 self._global_mask |= 1 << self.cid(constraint)
+
+    def size(self) -> tuple[int, int]:
+        """How many concepts and roles are interned."""
+        return len(self.concepts), len(self.roles)
+
+    def truncated(self, size: tuple[int, int]) -> "Tableau":
+        """A copy that keeps only the first concepts and roles of ``size``.
+
+        Every id the copy keeps names what it names here, and this
+        tableau is left as it is, so a reader still holding it sees no
+        id change its concept.  The absorption masks hold only ids
+        interned at construction, which a cut at or past the size at
+        construction keeps.  A kept ``≤``-restriction whose negated
+        filler was interned past the cut interns it again on first use.
+        """
+        concepts, roles = size
+        copy = object.__new__(Tableau)
+        copy.tbox = self.tbox
+        copy.max_nodes = self.max_nodes
+        copy.concepts = self.concepts.prefix(concepts)
+        copy.roles = self.roles.prefix(roles)
+        copy._info = [info.below(concepts) for info in self._info[:concepts]]
+        copy._lazy_mask = self._lazy_mask
+        copy._global_mask = self._global_mask
+        return copy
 
     # ------------------------------------------------------------------ #
     # interning

@@ -4,9 +4,9 @@ The server must degrade *before* it wedges.  Admission applies two
 limits and one allowance:
 
 * ``soft_limit`` — requests in flight beyond this are refused with
-  **429 Too Many Requests** and a ``Retry-After`` hint sized to the
-  batch window (the client's work is cheap to retry; the server is
-  merely momentarily full);
+  **429 Too Many Requests** and a ``Retry-After`` hint of
+  ``retry_after_s`` (50 ms by default: the client's work is cheap to
+  retry; the server is merely momentarily full);
 * ``hard_limit`` — beyond this (or while draining for shutdown) the
   refusal escalates to **503 Service Unavailable**: the server is
   shedding load, not queueing it;

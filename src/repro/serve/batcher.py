@@ -3,8 +3,9 @@
 Concurrent ``/v1/subsumes`` and ``/v1/satisfiable`` requests are not
 independent work: over one TBox snapshot they share a classified
 hierarchy, a sat cache, and a subsumption cache.  The batcher holds each
-check for a short window (``window_ms``, flushed early at ``max_batch``)
-and answers the whole batch from one pass over the shared snapshot:
+check for a short window (``window_ms``, 3 ms by default, flushed early
+at ``max_batch``) and answers the whole batch from one pass over the
+shared snapshot:
 
 * **named** questions — both operands atomic names of the snapshot's
   TBox — are answered straight from the pre-classified hierarchy
@@ -19,6 +20,13 @@ and answers the whole batch from one pass over the shared snapshot:
 A batch never mixes snapshot versions: items are grouped by the snapshot
 their request acquired at admission, so answers during a hot-swap are
 consistent per request (``serve.batch_splits`` counts split flushes).
+
+The window is what paces a closed loop of a few connections.  Flushed
+on the next loop tick instead, two connections were paced by the CPU,
+and on a shared host two runs of the same code a minute apart served
+4,150 and 5,976 named checks per second; held 3 ms, four runs served
+523-527.  A 2 ms window still let complex concepts' throughput spread
+by a tenth over four runs (EXPERIMENTS.md, "A 3 ms batch window").
 
 Counters/histograms: ``serve.batches``, ``serve.batch_size`` (histogram),
 ``serve.batched_hits``, ``serve.dedup_hits``, ``serve.batch_splits``,
@@ -68,7 +76,7 @@ class BatchAnswer:
 class Batcher:
     """Time/size-windowed coalescing of subsumption/satisfiability checks."""
 
-    def __init__(self, *, window_ms: float = 5.0, max_batch: int = 64) -> None:
+    def __init__(self, *, window_ms: float = 3.0, max_batch: int = 64) -> None:
         if window_ms < 0:
             raise ValueError(f"window_ms must be >= 0, got {window_ms}")
         if max_batch < 1:

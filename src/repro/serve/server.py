@@ -3,7 +3,13 @@
 ``python -m repro serve`` starts a long-lived JSON-over-HTTP process
 exposing the reasoning services over one shared, batched, cached
 snapshot instead of re-parsing and re-classifying the TBox per call the
-way one-shot CLI invocations do.
+way one-shot CLI invocations do.  The batcher holds checks for a short
+window (3 ms by default) and answers each window's checks as one batch
+(:mod:`repro.serve.batcher`).  What a snapshot's reasoner learns from
+traffic is bounded: it keeps what classification interned and forgets
+traffic's concepts and answers once they pass
+:data:`repro.dl.reasoner.LEARNED_CAP` concepts; ``/v1/metrics`` reports
+the sizes under ``serve.reasoner_caches``.
 
 Routes, by kind (all bodies JSON; :attr:`ReasoningServer.routes`)::
 
@@ -73,6 +79,7 @@ from typing import Any, Awaitable, Callable, Optional
 from .. import instdb as _instdb
 from ..core import critique
 from ..dl import ParseError, TBox, parse_concept, parse_tbox
+from ..dl.nnf import nnf_cache_size
 from ..obs import recorder as _obs
 from ..robust import Budget
 from .admission import AdmissionController, AdmissionError
@@ -98,7 +105,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    batch_window_ms: float = 5.0
+    batch_window_ms: float = 3.0
     batch_max: int = 64
     soft_limit: int = 64
     hard_limit: int = 256
@@ -213,7 +220,6 @@ class ReasoningServer:
             hard_limit=self.config.hard_limit,
             node_allowance=self.config.node_allowance,
             ms_allowance=self.config.ms_allowance,
-            retry_after_s=max(0.001, self.config.batch_window_ms / 1000.0),
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self.address: Optional[tuple[str, int]] = None
@@ -463,7 +469,10 @@ class ReasoningServer:
                 "pending_batch": self.batcher.pending,
                 "soft_limit": self.admission.soft_limit,
                 "hard_limit": self.admission.hard_limit,
-                "reasoner_caches": snapshot.reasoner.cache_stats(),
+                "reasoner_caches": {
+                    **snapshot.reasoner.cache_stats(),
+                    "nnf": nnf_cache_size(),
+                },
             },
         }
         if self.editlog is not None:

@@ -98,9 +98,10 @@ class Snapshot:
         leaves valid; an unchanged axiom set carries the hierarchy too,
         and :attr:`swap_mode` reads ``"reused"``.  Reading the
         predecessor is safe while it serves traffic — its hierarchy is
-        immutable and cache adoption snapshots the dicts.  Safe to call
-        from a worker thread: nothing else references this snapshot
-        until the manager swaps it in.
+        immutable, and cache adoption reads one reference to its learned
+        state, which forgetting traffic replaces rather than cuts.  Safe
+        to call from a worker thread: nothing else references this
+        snapshot until the manager swaps it in.
         """
         kept = None
         if predecessor is not None:

@@ -157,13 +157,16 @@ class TestNNFMemoization:
 
     def test_repeated_classification_converts_each_definition_once(self):
         """Reclassifying the same TBox does zero fresh NNF conversions."""
-        from repro.corpora.generators import random_tbox
+        from repro.corpora.generators import nonhorn_tbox
         from repro.dl import Reasoner
         from repro.dl.nnf import nnf_cache_size
         from repro.obs import Recorder, use_recorder
 
         self._fresh()
-        tbox = random_tbox(3, n_defined=8, n_primitive=4, n_roles=2)
+        # non-Horn, so classification opens the tableau, whose
+        # construction converts every definition (an EL TBox whose
+        # saturation is complete converts none: see the next test)
+        tbox = nonhorn_tbox(0, families=2, disjunctions=1)
         Reasoner(tbox).classify()
         size_after_first = nnf_cache_size()
         assert size_after_first > 0
@@ -173,6 +176,19 @@ class TestNNFMemoization:
         # every conversion the second run needed was already interned
         assert nnf_cache_size() == size_after_first
         assert recorder.counters["nnf.cache_hits"] > 0
+
+    def test_el_classification_builds_no_tableau(self):
+        """A complete saturation classifies without NNF or a tableau."""
+        from repro.corpora.generators import random_tbox
+        from repro.dl import Reasoner
+        from repro.dl.nnf import nnf_cache_size
+
+        self._fresh()
+        tbox = random_tbox(3, n_defined=8, n_primitive=4, n_roles=2)
+        reasoner = Reasoner(tbox)
+        reasoner.classify()
+        assert nnf_cache_size() == 0
+        assert reasoner.cache_stats()["table"] == 0
 
     def test_cache_clear_resets(self):
         from repro.dl.nnf import nnf_cache_clear, nnf_cache_size

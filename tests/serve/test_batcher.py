@@ -109,6 +109,13 @@ class TestCoalescing:
         with pytest.raises(ValueError):
             Batcher(max_batch=0)
 
+    def test_default_window_is_one_value(self):
+        from repro.__main__ import build_parser
+        from repro.serve import ServeConfig
+
+        cli = build_parser().parse_args(["serve"]).batch_window_ms
+        assert Batcher().window_ms == ServeConfig().batch_window_ms == cli == 3.0
+
 
 class TestAnswerSources:
     def test_named_checks_use_hierarchy_not_tableau(self):

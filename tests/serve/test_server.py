@@ -202,6 +202,62 @@ class TestDegradation:
             assert "max_nodes" in body["unknown"]["herbie"]
 
 
+    def test_soft_limit_answers_429_with_its_own_retry_after(self):
+        import http.client
+
+        config = ServeConfig(port=0, soft_limit=1, hard_limit=4)
+        with ServerThread(parse_tbox(VEHICLES), config) as server:
+            held = server.server.admission.admit()  # the one soft slot
+            try:
+                conn = http.client.HTTPConnection(*server.address, timeout=30)
+                conn.request("POST", "/v1/satisfiable", body='{"concept": "car"}')
+                response = conn.getresponse()
+                response.read()
+                conn.close()
+            finally:
+                held.finish()
+            assert response.status == 429
+            # admission's own hint, not one derived from batching
+            assert response.getheader("Retry-After") == "0.050"
+            status, body = server.request(
+                "POST", "/v1/satisfiable", {"concept": "car"}
+            )
+            assert (status, body["answer"]) == (200, True)
+
+
+class TestLearnedStateBound:
+    """A snapshot forgets what traffic taught it past ``LEARNED_CAP``."""
+
+    def test_table_stays_within_the_cap_past_the_watermark(self, monkeypatch):
+        from repro.dl import reasoner as reasoner_mod
+
+        cap = 48
+        monkeypatch.setattr(reasoner_mod, "LEARNED_CAP", cap)
+        names = ["car", "pickup", "motorvehicle", "gasoline", "small", "big"]
+        roles = ["uses", "size"]
+        with ServerThread(parse_tbox(VEHICLES)) as server, server.client() as client:
+            _status, body = client.request("GET", "/v1/metrics")
+            # an EL snapshot classifies without a tableau; the first
+            # complex query builds one and pins its table as it stands
+            assert body["serve"]["reasoner_caches"]["table"] == 0
+            pinned = None
+            for i in range(4 * cap):
+                a, b = names[i % 6], names[i // 6 % 6]
+                role = roles[i // 36 % 2]
+                concept = f"{a} & some {role}.({b} & >= {1 + i // 72} {role}.{a})"
+                status, body = client.request(
+                    "POST", "/v1/satisfiable", {"concept": concept}
+                )
+                assert status in (200, 206), body
+                _status, body = client.request("GET", "/v1/metrics")
+                caches = body["serve"]["reasoner_caches"]
+                pinned = pinned or caches["pinned"]
+                assert caches["pinned"] == pinned > 0
+                assert caches["table"] - caches["pinned"] <= cap, caches
+        assert caches["resets"] > 0
+        assert caches["nnf"] > 0
+
+
 class TestHotSwap:
     def test_swap_changes_answers_and_version(self, server):
         with server.client() as client:

@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro.dl import Atomic, Reasoner, parse_tbox
+from repro.dl import Atomic, Reasoner, parse_concept, parse_tbox
+from repro.dl.serialize import tbox_to_text as tbox_text
 from repro.obs import Recorder, use_recorder
 from repro.robust import faults
 from repro.serve.snapshot import Snapshot, SnapshotError, SnapshotManager
@@ -46,7 +47,10 @@ class TestReasonerRelease:
         stats = reasoner.cache_stats()
         assert stats["sat"] > 0 and stats["subs"] > 0 and stats["hierarchy"] > 0
         reasoner.release()
-        assert reasoner.cache_stats() == {"sat": 0, "subs": 0, "hierarchy": 0}
+        assert reasoner.cache_stats() == {
+            "sat": 0, "subs": 0, "hierarchy": 0,
+            "table": 0, "pinned": 0, "resets": 0,
+        }
 
     def test_release_keeps_reasoner_usable(self):
         reasoner = Reasoner(vehicles())
@@ -60,6 +64,32 @@ class TestReasonerRelease:
         with use_recorder(recorder):
             reasoner.release()
         assert recorder.counters["reasoner.releases"] == 1
+
+
+class TestLazyTableau:
+    def test_el_swap_builds_no_tableau(self):
+        recorder = Recorder()
+        manager = SnapshotManager(vehicles())
+        edited = parse_tbox("truck [= motorvehicle\n" + tbox_text(vehicles()))
+        with use_recorder(recorder):
+            manager.load_and_swap(edited)
+            manager.load_and_swap(edited)  # re-posted
+        assert manager.current.swap_mode == "reused"
+        assert manager.current.reasoner.cache_stats()["table"] == 0
+        assert "tableau.solve_calls" not in recorder.counters
+        assert "nnf.cache_hits" not in recorder.counters
+
+    def test_complex_query_builds_it_and_retiring_frees_it(self):
+        snapshot = Snapshot(vehicles(), 1).prepare()
+        assert snapshot.reasoner.cache_stats()["table"] == 0
+        assert snapshot.reasoner.is_satisfiable(
+            parse_concept("car & some uses.gasoline")
+        )
+        stats = snapshot.reasoner.cache_stats()
+        # built after classification: its whole base table is pinned
+        assert stats["table"] > stats["pinned"] > 0
+        snapshot.retire()
+        assert snapshot.reasoner.cache_stats()["table"] == 0
 
 
 class TestSnapshotRefcount:
@@ -86,6 +116,7 @@ class TestSnapshotRefcount:
         assert snapshot.hierarchy is None
         assert snapshot.reasoner.cache_stats() == {
             "sat": 0, "subs": 0, "hierarchy": 0,
+            "table": 0, "pinned": 0, "resets": 0,
         }
 
     def test_retired_snapshot_waits_for_last_inflight_request(self):
@@ -106,6 +137,7 @@ class TestSnapshotRefcount:
         assert snapshot.released
         assert snapshot.reasoner.cache_stats() == {
             "sat": 0, "subs": 0, "hierarchy": 0,
+            "table": 0, "pinned": 0, "resets": 0,
         }
 
     def test_acquire_after_full_release_raises(self):
@@ -285,6 +317,7 @@ class TestMvccChain:
         assert held.released and held.hierarchy is None
         assert held.reasoner.cache_stats() == {
             "sat": 0, "subs": 0, "hierarchy": 0,
+            "table": 0, "pinned": 0, "resets": 0,
         }
 
 
