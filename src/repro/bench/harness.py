@@ -115,13 +115,68 @@ def _b1_tableau() -> dict[str, Any]:
     hierarchy = classify(big)
     assert not hierarchy.incomplete
     assert hierarchy.tableau_tests == 0
+    _b1_atmost()
     return {
         "chain_depth": chain_depth,
         "branching_depth": branch_depth,
         "classify_chain_depth": classify_depth,
         "classify_random_seed": 11,
         "big_classify": {"seed": 0, "n_defined": 22, "n_primitive": 8, "n_roles": 3},
+        "atmost_max_branches": B1_ATMOST_BRANCHES,
     }
+
+
+#: B1's at-most questions: (TBox, question, concepts, answer).  Each
+#: puts a ``≤``-restriction next to a global disjunction that every
+#: node branches on; a ``≤``-clash that waited for *all* candidates to
+#: be pairwise distinct merged and re-branched past the cap on all but
+#: the satisfiable ``<= 3 r``.  ``nonhorn`` is complex-read's served
+#: corpus.
+B1_ATMOST_QUESTIONS = (
+    ("gci", "satisfiable", (">= 3 r.A & >= 1 r.B & <= 2 r",), False),
+    ("gci", "satisfiable", (">= 3 r.A & >= 1 r.B & <= 3 r",), True),
+    ("nonhorn", "subsumes", (">= 1 has", ">= 2 has"), True),
+    ("nonhorn", "subsumes", (">= 1 has", ">= 1 has"), True),
+    ("nonhorn", "satisfiable", ("g1b & part6 & <= 0 has",), False),
+    ("nonhorn", "subsumes", ("~s7x0", "s8x1 & s1x0"), False),
+)
+#: the branch cap each at-most question runs under (no deadline)
+B1_ATMOST_BRANCHES = 200
+
+
+def _b1_atmost() -> None:
+    """Ask :data:`B1_ATMOST_QUESTIONS` under :data:`B1_ATMOST_BRANCHES`.
+
+    Each runs on a fresh reasoner under its own recorder, so B1's other
+    counters stay those of its classification workload; the record
+    gets the questions, the UNKNOWN answers and the branches charged.
+    """
+    from ..corpora.generators import nonhorn_tbox
+    from ..dl import Reasoner, parse_concept, parse_tbox
+    from ..obs import get_recorder
+    from ..robust import Budget
+
+    tboxes = {
+        "gci": parse_tbox("C & D [= E | F"),
+        "nonhorn": nonhorn_tbox(0, families=9, disjunctions=1),
+    }
+    unknown = branches = 0
+    for tbox, question, texts, answer in B1_ATMOST_QUESTIONS:
+        reasoner = Reasoner(tboxes[tbox])
+        concepts = [parse_concept(text) for text in texts]
+        budget = Budget(max_branches=B1_ATMOST_BRANCHES)
+        with use_recorder(Recorder()):
+            if question == "subsumes":
+                verdict = reasoner.subsumes_governed(*concepts, budget)
+            else:
+                verdict = reasoner.is_satisfiable_governed(*concepts, budget)
+        assert verdict.is_unknown or verdict.as_bool() is answer, (texts, verdict)
+        unknown += verdict.is_unknown
+        branches += budget.branches
+    recorder = get_recorder()
+    recorder.incr("bench.b1.atmost_questions", len(B1_ATMOST_QUESTIONS))
+    recorder.incr("bench.b1.atmost_unknown", unknown)
+    recorder.incr("bench.b1.atmost_branches", branches)
 
 
 def _b2_isomorphism() -> dict[str, Any]:

@@ -12,7 +12,11 @@ A completion-graph tableau with:
 * **number restrictions** — ``≥n r.C`` generates ``n`` pairwise-distinct
   successors; ``≤n r.C`` first saturates with the **choose-rule** (every
   r-successor decides between ``C`` and ``¬C``), then merges surplus
-  C-successors, branching over merge choices.
+  C-successors, branching over merge choices.  ``≤n r.C`` clashes as
+  soon as any ``n + 1`` of its C-successors are pairwise distinct (a
+  ``≥``-rule generated them apart, or they are named individuals), as in
+  Baader & Sattler's calculus (Studia Logica 2001); with ``n = 0`` any
+  single one does.
 
 Branching (⊔ and merge choices) is explored by copying the completion
 graph — simple, deterministic, and fast enough for ontonomy-sized inputs,
@@ -21,8 +25,9 @@ which is the regime this library targets.
 The engine is **interned**: every concept and role is assigned a dense
 int id on first contact (:mod:`repro.dl.intern`), node labels and the
 one-shot ``applied`` markers hold ids, and a label is a single Python
-``int`` bitmask.  Rule dispatch walks the set bits of the label against
-a per-id decomposition record (:class:`_Info`), conjunction expansion
+``int`` bitmask.  Each rule walks only the bits of its own concept
+kinds, which one id mask per kind picks out of a label, against a
+per-id decomposition record (:class:`_Info`), conjunction expansion
 and GCI propagation are single ``|`` operations against precomputed
 masks, blocking is a subset check ``label & ancestor == label``, and
 copying a branch copies flat int-valued dicts instead of sets of hashed
@@ -63,6 +68,18 @@ class ReasonerError(Exception):
 
 # decomposition kinds (see _Info)
 _ATOM, _TOP, _BOT, _NOT, _AND, _OR, _EXISTS, _FORALL, _ATLEAST, _ATMOST = range(10)
+_KIND_OF = {
+    Atomic: _ATOM,
+    _Top: _TOP,
+    _Bottom: _BOT,
+    Not: _NOT,
+    And: _AND,
+    Or: _OR,
+    Exists: _EXISTS,
+    Forall: _FORALL,
+    AtLeast: _ATLEAST,
+    AtMost: _ATMOST,
+}
 
 _BOTTOM_BIT = 1 << BOTTOM_ID
 
@@ -141,6 +158,13 @@ class _State:
     def successors(self, node: int, role: int) -> set[int]:
         return self.edges[node].get(role, set())
 
+    def apart(self, u: int, v: int) -> bool:
+        """True iff ``u`` and ``v`` may not be merged: a ``≥``-rule
+        generated them apart, or both are named individuals."""
+        return frozenset((u, v)) in self.distinct or (
+            u in self.named and v in self.named
+        )
+
     def atomic_names(self, node: int = 0) -> frozenset[str]:
         """The names of the atomic concepts in ``node``'s label.
 
@@ -148,15 +172,12 @@ class _State:
         for (:meth:`Tableau.find_model`).
         """
         table = self.owner.concepts
-        info = self.owner._info
         names = []
-        mask = self.labels[node]
+        mask = self.labels[node] & self.owner._kinds[_ATOM]
         while mask:
             low = mask & -mask
             mask ^= low
-            cid = low.bit_length() - 1
-            if info[cid].kind == _ATOM:
-                names.append(table[cid].name)
+            names.append(table[low.bit_length() - 1].name)
         return frozenset(names)
 
     def copy(self) -> "_State":
@@ -222,6 +243,9 @@ class Tableau:
         self.concepts = ConceptTable()
         self.roles = InternTable()
         self._info: list[_Info] = []
+        #: per decomposition kind, the mask of the ids of that kind, so
+        #: each rule walks only its own bits of a label
+        self._kinds = [0] * len(_KIND_OF)
         self._build_info(TOP_ID)
         self._build_info(BOTTOM_ID)
         # absorption split, interned: per-atomic-id unfolding masks and a
@@ -236,6 +260,8 @@ class Tableau:
             else:
                 constraint = to_nnf(Or.of([negate(gci.lhs), to_nnf(gci.rhs)]))
                 self._global_mask |= 1 << self.cid(constraint)
+        #: the atoms that have an unfolding
+        self._unfoldable = sum(1 << lhs_id for lhs_id in self._lazy_mask)
 
     def size(self) -> tuple[int, int]:
         """How many concepts and roles are interned."""
@@ -252,14 +278,17 @@ class Tableau:
         filler was interned past the cut interns it again on first use.
         """
         concepts, roles = size
+        keep = (1 << concepts) - 1
         copy = object.__new__(Tableau)
         copy.tbox = self.tbox
         copy.max_nodes = self.max_nodes
         copy.concepts = self.concepts.prefix(concepts)
         copy.roles = self.roles.prefix(roles)
         copy._info = [info.below(concepts) for info in self._info[:concepts]]
+        copy._kinds = [mask & keep for mask in self._kinds]
         copy._lazy_mask = self._lazy_mask
         copy._global_mask = self._global_mask
+        copy._unfoldable = self._unfoldable
         return copy
 
     # ------------------------------------------------------------------ #
@@ -277,51 +306,27 @@ class Tableau:
 
     def _build_info(self, i: int) -> None:
         concept = self.concepts[i]
-        if isinstance(concept, Atomic):
-            info = _Info(_ATOM)
-        elif isinstance(concept, _Top):
-            info = _Info(_TOP)
-        elif isinstance(concept, _Bottom):
-            info = _Info(_BOT)
-        elif isinstance(concept, Not):
-            info = _Info(_NOT)
-            self._info.append(info)  # reserve slot before recursing
+        kind = _KIND_OF.get(type(concept))
+        if kind is None:  # pragma: no cover - defensive
+            raise ReasonerError(f"unknown concept node {concept!r}")
+        info = _Info(kind)
+        self._info.append(info)  # reserve the slot before interning operands
+        self._kinds[kind] |= 1 << i
+        if kind == _NOT:
             info.a = self.cid(concept.operand)
-            return
-        elif isinstance(concept, And):
-            info = _Info(_AND)
-            self._info.append(info)
-            info.mask = 0
+        elif kind == _AND:
             for op in concept.operands:
                 info.mask |= 1 << self.cid(op)
-            return
-        elif isinstance(concept, Or):
-            info = _Info(_OR)
+        elif kind == _OR:
             info.skey = str(concept)
-            self._info.append(info)
             info.ids = tuple(self.cid(op) for op in concept.operands)
-            info.mask = 0
             for op_id in info.ids:
                 info.mask |= 1 << op_id
-            return
-        elif isinstance(concept, (Exists, Forall, AtLeast, AtMost)):
-            info = _Info(
-                {
-                    Exists: _EXISTS,
-                    Forall: _FORALL,
-                    AtLeast: _ATLEAST,
-                    AtMost: _ATMOST,
-                }[type(concept)]
-            )
+        elif kind in (_EXISTS, _FORALL, _ATLEAST, _ATMOST):
             info.skey = str(concept)
-            self._info.append(info)
             info.role = self.roles.intern(concept.role.name)
             info.a = self.cid(concept.filler)
             info.n = getattr(concept, "n", 0)
-            return
-        else:  # pragma: no cover - defensive
-            raise ReasonerError(f"unknown concept node {concept!r}")
-        self._info.append(info)
 
     def _neg_filler(self, info: _Info) -> int:
         """The id of the negated filler of a ≤-restriction (choose-rule)."""
@@ -483,11 +488,11 @@ class Tableau:
                 mergeable = [
                     (u, v)
                     for u, v in itertools.combinations(succ, 2)
-                    if frozenset({u, v}) not in state.distinct
-                    and not (u in state.named and v in state.named)
+                    if not state.apart(u, v)
                 ]
-                if not mergeable:
-                    return None  # ≤-clash: too many provably distinct successors
+                # with no mergeable pair the candidates are pairwise
+                # apart, a ≤-clash that _has_clash has already found
+                assert mergeable, "≤-restriction past its bound with no clash"
                 for u, v in mergeable:
                     _obs.incr("tableau.merges")
                     if budget is not None:
@@ -515,31 +520,37 @@ class Tableau:
     def _deterministic_round(self, state: _State) -> bool:
         changed = False
         info = self._info
-        for node in list(state.labels):
-            label = state.labels[node]
+        lazy = self._lazy_mask
+        unfoldable, conjunctions = self._unfoldable, self._kinds[_AND]
+        universals = self._kinds[_FORALL]
+        labels = state.labels
+        for node in list(labels):
+            label = labels[node]
             # global GCIs: one mask OR covers every propagated constraint
-            additions = self._global_mask & ~label
-            mask = label
+            adds = self._global_mask
+            mask = label & unfoldable  # lazy unfolding of absorbed axioms
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                adds |= lazy[low.bit_length() - 1]
+            mask = label & conjunctions
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                adds |= info[low.bit_length() - 1].mask
+            mask = label & universals
             while mask:
                 low = mask & -mask
                 mask ^= low
                 i = info[low.bit_length() - 1]
-                kind = i.kind
-                if kind == _ATOM:
-                    # lazy unfolding of absorbed axioms
-                    unfold = self._lazy_mask.get(low.bit_length() - 1)
-                    if unfold is not None:
-                        additions |= unfold & ~label
-                elif kind == _AND:
-                    additions |= i.mask & ~label
-                elif kind == _FORALL:
-                    filler_bit = 1 << i.a
-                    for succ in state.successors(node, i.role):
-                        if not state.labels[succ] & filler_bit:
-                            state.labels[succ] |= filler_bit
-                            changed = True
+                filler_bit = 1 << i.a
+                for succ in state.successors(node, i.role):
+                    if not labels[succ] & filler_bit:
+                        labels[succ] |= filler_bit
+                        changed = True
+            additions = adds & ~label
             if additions:
-                state.labels[node] = label | additions
+                labels[node] = label | additions
                 changed = True
         return changed
 
@@ -547,26 +558,31 @@ class Tableau:
 
     def _has_clash(self, state: _State) -> bool:
         info = self._info
+        negations, atmosts = self._kinds[_NOT], self._kinds[_ATMOST]
         for node, label in state.labels.items():
             if label & _BOTTOM_BIT:
                 return True
-            mask = label
+            mask = label & negations
             while mask:
                 low = mask & -mask
                 mask ^= low
-                i = info[low.bit_length() - 1]
-                if i.kind == _NOT:
-                    if label >> i.a & 1:
-                        return True
-                elif i.kind == _ATMOST:
-                    candidates = self._atmost_candidates(
-                        state, node, low.bit_length() - 1
-                    )
-                    if len(candidates) > i.n and self._all_distinct(
-                        state, candidates, i.n
-                    ):
-                        return True
+                if label >> info[low.bit_length() - 1].a & 1:
+                    return True
+            mask = label & atmosts
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                if self._atmost_clash(state, node, low.bit_length() - 1):
+                    return True
         return False
+
+    def _atmost_clash(self, state: _State, node: int, atmost_id: int) -> bool:
+        """True iff more than ``n`` candidates of ``≤n r.C`` are pairwise distinct."""
+        bound = self._info[atmost_id].n
+        candidates = self._atmost_candidates(state, node, atmost_id)
+        return len(candidates) > bound and _distinct_clique(
+            state, candidates, bound + 1
+        )
 
     def _atmost_candidates(self, state: _State, node: int, atmost_id: int) -> set[int]:
         """The r-successors that count against ``≤n r.C``.
@@ -583,17 +599,6 @@ class Tableau:
         filler_bit = 1 << info.a
         return {s for s in succ if state.labels[s] & filler_bit}
 
-    @staticmethod
-    def _all_distinct(state: _State, nodes: set[int], bound: int) -> bool:
-        """True iff more than ``bound`` of ``nodes`` are pairwise distinct."""
-        nodes = sorted(nodes)
-        if len(nodes) <= bound:
-            return False
-        return all(
-            frozenset({u, v}) in state.distinct
-            for u, v in itertools.combinations(nodes, 2)
-        )
-
     # -- nondeterministic rule selection -------------------------------- #
 
     def _find_disjunction(self, state: _State) -> Optional[tuple[int, int]]:
@@ -601,17 +606,18 @@ class Tableau:
         # order front-loads branching on global-GCI disjuncts and blows
         # the search up exponentially on ∃-rich inputs (see _Info.skey)
         info = self._info
+        disjunctions = self._kinds[_OR]
         for node in sorted(state.labels):
             label = state.labels[node]
             best = -1
             best_key = ""
-            mask = label
+            mask = label & disjunctions
             while mask:
                 low = mask & -mask
                 mask ^= low
                 cid = low.bit_length() - 1
                 i = info[cid]
-                if i.kind == _OR and (node, cid) not in state.applied:
+                if (node, cid) not in state.applied:
                     if not label & i.mask:
                         if best < 0 or i.skey < best_key:
                             best = cid
@@ -624,14 +630,15 @@ class Tableau:
         """The choose-rule: under ``≤n r.C`` every r-successor must decide
         between ``C`` and ``¬C`` before counting is meaningful."""
         info = self._info
+        atmosts_mask = self._kinds[_ATMOST]
         for node in sorted(state.labels):
-            mask = state.labels[node]
+            mask = state.labels[node] & atmosts_mask
             atmosts = []
             while mask:
                 low = mask & -mask
                 mask ^= low
                 i = info[low.bit_length() - 1]
-                if i.kind == _ATMOST and i.a != TOP_ID:
+                if i.a != TOP_ID:
                     atmosts.append(i)
             atmosts.sort(key=lambda i: i.skey)
             for i in atmosts:
@@ -643,23 +650,26 @@ class Tableau:
         return None
 
     def _find_atmost_violation(self, state: _State) -> Optional[tuple[int, int]]:
+        """The first ``≤n r.C`` with more than ``n`` candidates.
+
+        Called after :meth:`_has_clash` found no ``≤``-clash, so no
+        ``n + 1`` of those candidates are pairwise distinct as far as
+        the clique search sees, and some pair of them is mergeable.
+        """
         info = self._info
+        atmosts_mask = self._kinds[_ATMOST]
         for node in sorted(state.labels):
-            mask = state.labels[node]
+            mask = state.labels[node] & atmosts_mask
             atmosts = []
             while mask:
                 low = mask & -mask
                 mask ^= low
                 cid = low.bit_length() - 1
                 i = info[cid]
-                if i.kind == _ATMOST:
-                    atmosts.append((i.skey, cid, i))
+                atmosts.append((i.skey, cid, i))
             atmosts.sort()
             for _, cid, i in atmosts:
-                candidates = self._atmost_candidates(state, node, cid)
-                if len(candidates) > i.n and not self._all_distinct(
-                    state, candidates, i.n
-                ):
+                if len(self._atmost_candidates(state, node, cid)) > i.n:
                     return (node, cid)
         return None
 
@@ -668,13 +678,14 @@ class Tableau:
     def _generating_round(self, state: _State) -> bool:
         generated = False
         info = self._info
+        generating = self._kinds[_EXISTS] | self._kinds[_ATLEAST]
         for node in sorted(state.labels):
             if node not in state.labels:
                 continue
             if state.is_blocked(node):
                 _obs.incr("tableau.blocking_hits")
                 continue
-            mask = state.labels[node]
+            mask = state.labels[node] & generating
             while mask:
                 low = mask & -mask
                 mask ^= low
@@ -710,6 +721,41 @@ class Tableau:
                     state.applied.add((node, cid))
                     generated = True
         return generated
+
+
+def _distinct_clique(state: _State, nodes: set[int], size: int) -> bool:
+    """True iff ``size`` of ``nodes`` are pairwise :meth:`~_State.apart`,
+    by a greedy search.
+
+    From each node in turn the search keeps, in id order, every node
+    apart from all it has kept, which finds each ``≥``-group and the
+    named individuals.  A clique it misses still ends in a clash: the
+    merge rule merges only pairs that are not apart, so the clique
+    survives every merge, and once no pair is left to merge the whole
+    candidate set is one clique.
+    """
+    if len(nodes) < size:
+        return False
+    if size <= 1:
+        return True
+    order = sorted(nodes)
+    apart: dict[int, set[int]] = {u: set() for u in order}
+    for u, v in itertools.combinations(order, 2):
+        if state.apart(u, v):
+            apart[u].add(v)
+            apart[v].add(u)
+    for start in order:
+        common = apart[start]
+        found = 1
+        for v in order:
+            if len(common) < size - found:
+                break
+            if v in common:
+                found += 1
+                if found == size:
+                    return True
+                common = common & apart[v]
+    return False
 
 
 def extract_interpretation(state: _State) -> "Interpretation":

@@ -99,6 +99,16 @@ class TestCounterCoverage:
         assert counters["intern.table_size"] > 0
         assert counters["reasoner.subs_cache_misses"] > 0
 
+    def test_b1_decides_every_atmost_question(self, suite_records):
+        # five of the six merged past B1's branch cap before the exact
+        # ≤-clash; now all six are decided well inside it
+        record = suite_records["B1"]
+        counters = record["counters"]
+        assert counters["bench.b1.atmost_questions"] == 6
+        assert counters["bench.b1.atmost_unknown"] == 0
+        cap = record["params"]["atmost_max_branches"]
+        assert counters["bench.b1.atmost_branches"] < cap
+
     def test_b3_has_store_counters(self, suite_records):
         counters = suite_records["B3"]["counters"]
         assert counters["store.index_lookups"] > 0

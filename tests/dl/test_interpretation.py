@@ -130,7 +130,7 @@ atoms = st.sampled_from([A, B, C])
 def concepts(draw, depth=3):
     if depth == 0:
         return draw(atoms)
-    kind = draw(st.integers(min_value=0, max_value=6))
+    kind = draw(st.integers(min_value=0, max_value=7))
     if kind == 0:
         return draw(atoms)
     if kind == 1:
@@ -143,11 +143,17 @@ def concepts(draw, depth=3):
         return some(draw(st.sampled_from(["r", "s"])), draw(concepts(depth=depth - 1)))
     if kind == 5:
         return only(draw(st.sampled_from(["r", "s"])), draw(concepts(depth=depth - 1)))
-    return at_least(
-        draw(st.integers(min_value=1, max_value=3)),
-        draw(st.sampled_from(["r", "s"])),
-        draw(concepts(depth=depth - 1)),
-    )
+    if kind == 6:
+        return at_least(
+            draw(st.integers(min_value=1, max_value=3)),
+            draw(st.sampled_from(["r", "s"])),
+            draw(concepts(depth=depth - 1)),
+        )
+    n = draw(st.integers(min_value=0, max_value=2))
+    role = draw(st.sampled_from(["r", "s"]))
+    if draw(st.booleans()):
+        return at_most(n, role)
+    return at_most(n, role, draw(concepts(depth=depth - 1)))
 
 
 @settings(max_examples=80, deadline=None)

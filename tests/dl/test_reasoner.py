@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.corpora import nonhorn_tbox
 from repro.corpora.vehicles import vehicle_tbox
 from repro.dl import (
     ABox,
@@ -26,6 +27,7 @@ from repro.dl import (
     parse_tbox,
     some,
 )
+from repro.robust import DISPROVED, PROVED, Budget, faults
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -129,6 +131,63 @@ class TestQualifiedAtMost:
         # all r-successors are A, there are 3 of them, at most 2 may be A
         c = at_least(3, "r") & only("r", A) & at_most(2, "r", A)
         assert not r.is_satisfiable(c)
+
+
+class TestExactAtMostClash:
+    """``≤n r.C`` clashes once any ``n + 1`` of its candidates are
+    pairwise distinct, not only when all of them are.
+
+    Each case sits next to a global disjunction that every node
+    branches on, so merging successors instead of clashing runs far
+    past the branch cap.  The cap, with no deadline, keeps the outcome
+    independent of the host's speed.
+    """
+
+    @pytest.fixture(autouse=True)
+    def quiet_faults(self):
+        with faults.suspended():
+            yield
+
+    @staticmethod
+    def sat(tbox, concept):
+        budget = Budget(max_branches=200)
+        return Reasoner(tbox).is_satisfiable_governed(parse_concept(concept), budget)
+
+    @staticmethod
+    def subsumes(tbox, general, specific):
+        budget = Budget(max_branches=200)
+        return Reasoner(tbox).subsumes_governed(
+            parse_concept(general), parse_concept(specific), budget
+        )
+
+    def test_distinct_group_beside_a_mergeable_successor(self):
+        tbox = parse_tbox("C & D [= E | F")
+        # the three A-successors are pairwise distinct; the B one is not
+        # distinct from any of them
+        assert self.sat(tbox, ">= 3 r.A & >= 1 r.B & <= 2 r") == DISPROVED
+        assert self.sat(tbox, ">= 3 r.A & >= 1 r.B & <= 3 r") == PROVED
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # complex-read's served corpus (tests/corpora pins the equality)
+        return nonhorn_tbox(0, families=9, disjunctions=1)
+
+    @pytest.mark.parametrize("specific", [">= 2 has", ">= 1 has"])
+    def test_at_least_subsumed_by_at_least_one(self, corpus, specific):
+        # tested as ``specific ⊓ ≤0 has``: any single successor clashes
+        assert self.subsumes(corpus, ">= 1 has", specific) == PROVED
+
+    def test_at_most_zero_under_a_counted_genus(self, corpus):
+        # g1b has four pairwise-distinct ``has.part1`` successors
+        assert self.sat(corpus, "g1b & part6 & <= 0 has") == DISPROVED
+
+    def test_species_of_two_families_not_below_a_third(self, corpus):
+        assert self.subsumes(corpus, "~s7x0", "s8x1 & s1x0") == DISPROVED
+        concept = parse_concept("s8x1 & s1x0 & s7x0")
+        model = Reasoner(corpus).extract_model(concept)
+        assert model is not None
+        assert any(model.satisfies(e, concept) for e in model.domain)
+        assert model.satisfies_tbox(corpus)
 
 
 class TestTBoxReasoning:

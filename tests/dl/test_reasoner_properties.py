@@ -19,6 +19,7 @@ from repro.dl import (
     Reasoner,
     TOP,
     at_least,
+    at_most,
     negate,
     only,
     some,
@@ -33,7 +34,7 @@ _atoms = st.sampled_from([A, B, C])
 def concepts(draw, depth=2):
     if depth == 0:
         return draw(_atoms)
-    kind = draw(st.integers(min_value=0, max_value=6))
+    kind = draw(st.integers(min_value=0, max_value=7))
     if kind == 0:
         return draw(_atoms)
     if kind == 1:
@@ -46,11 +47,17 @@ def concepts(draw, depth=2):
         return some(draw(st.sampled_from(["r", "s"])), draw(concepts(depth=depth - 1)))
     if kind == 5:
         return only(draw(st.sampled_from(["r", "s"])), draw(concepts(depth=depth - 1)))
-    return at_least(
-        draw(st.integers(min_value=1, max_value=2)),
-        draw(st.sampled_from(["r", "s"])),
-        draw(concepts(depth=depth - 1)),
-    )
+    if kind == 6:
+        return at_least(
+            draw(st.integers(min_value=1, max_value=2)),
+            draw(st.sampled_from(["r", "s"])),
+            draw(concepts(depth=depth - 1)),
+        )
+    n = draw(st.integers(min_value=0, max_value=2))
+    role = draw(st.sampled_from(["r", "s"]))
+    if draw(st.booleans()):
+        return at_most(n, role)
+    return at_most(n, role, draw(concepts(depth=depth - 1)))
 
 
 @settings(max_examples=60, deadline=None)
