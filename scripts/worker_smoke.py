@@ -17,7 +17,9 @@ Boots ``python -m repro serve --workers 2`` as a real subprocess, then:
 
 * hot-swaps the TBox mid-load and checks the new version is visible
   with zero per-worker skew, and that the aggregated ``/v1/metrics``
-  merges worker recorders (proxied counters present).
+  merges worker recorders (proxied counters present) into pooled
+  histograms: batch sizes sum to the batch-wait count, every cell is a
+  summary with ``min <= p50 <= p99 <= max``, and none carries buckets.
 
 Exits non-zero (with a message) on any violated expectation.
 """
@@ -44,6 +46,8 @@ motorvehicle [= some uses.gasoline
 TBOX_V2 = TBOX_V1 + "\nvan [= motorvehicle & some size.big\n"
 
 SERVE_FLAGS = ["--port", "0", "--workers", "2", "--soft-limit", "8"]
+
+SUMMARY_KEYS = {"count", "total", "min", "max", "mean", "p50", "p99"}
 
 
 def fail(message):
@@ -226,6 +230,22 @@ def main():
             fail(f"worker death not counted: {counters}")
         if body.get("serve", {}).get("workers", {}).get("up") != 2:
             fail(f"metrics workers block: {body.get('serve')}")
+        # the pooled histograms: one batch records its size once and one
+        # wait per check, in every process, so the merge keeps the sums
+        # equal even without the killed worker's recorder
+        metrics = body["metrics"]
+        histograms = metrics.get("histograms", {})
+        sizes = histograms.get("serve.batch_size", {})
+        waits = histograms.get("serve.batch_wait_ms", {})
+        if not sizes or sizes.get("total") != waits.get("count"):
+            fail(f"pooled batch sizes vs waits: {sizes} {waits}")
+        for section in ("timers", "histograms"):
+            for name, cell in metrics.get(section, {}).items():
+                # buckets travel only on /v1/ctl/obs, never in a summary
+                if set(cell) != SUMMARY_KEYS:
+                    fail(f"{section} cell {name!r} is not a summary: {cell}")
+                if not cell["min"] <= cell["p50"] <= cell["p99"] <= cell["max"]:
+                    fail(f"{section} cell {name!r} quantiles out of order: {cell}")
 
         print("worker_smoke: OK")
     finally:

@@ -10,14 +10,15 @@ Each bench runs a fixed, seeded workload under a fresh
       "params": {...},            # the workload's knobs, for reproduction
       "wall_time_s": 0.41,
       "counters": {...},          # repro.obs counter snapshot
-      "timers": {...},            # {name: {count, total, min, max, mean}}
-      "histograms": {...}         # same summary + p50/p99 quantiles
+      "timers": {...},            # {name: {count, total, min, max, mean, p50, p99}}
+      "histograms": {...}         # the same summary
     }
 
 Schema v2: measurement *distributions* (per-call latencies, per-phase
-costs) live in ``histograms`` — with p50/p99 from the recorder's sample
-rings — instead of being stashed under ``params``; ``params`` holds only
-the workload's reproduction knobs and scalar summaries.
+costs) live in ``histograms`` — with p50/p99 over every observation,
+within ``repro.obs.ALPHA`` — instead of being stashed under ``params``;
+``params`` holds only the workload's reproduction knobs and scalar
+summaries.
 
 ``run_suite`` writes one ``BENCH_<id>.json`` per bench — the work
 trajectory later PRs are compared against.  Counters are deterministic
@@ -471,7 +472,7 @@ def _b10_saturation() -> dict[str, Any]:
             with use_recorder(run_rec):
                 hierarchy = Reasoner(tbox).classify(budget=budget)
             ms = (time.perf_counter() - t0) * 1000.0
-            recorder.merge(run_rec)
+            recorder.merge(run_rec.state())
             recorder.observe(f"bench.b10.{prefix}{label}_classify_ms", ms)
             # the correctness oracle: group for group and edge for edge
             assert not hierarchy.incomplete

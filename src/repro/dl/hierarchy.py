@@ -391,13 +391,11 @@ class ConceptHierarchy:
 
     def parents(self, name: str) -> frozenset[str]:
         """Direct (covering) subsumers of ``name``'s group."""
-        rep = self.group_of[name]
-        return frozenset(b for a, b in self.poset.covers() if a == rep)
+        return self.poset.upper_covers(self.group_of[name])
 
     def children(self, name: str) -> frozenset[str]:
         """Direct (covered) subsumees of ``name``'s group."""
-        rep = self.group_of[name]
-        return frozenset(a for a, b in self.poset.covers() if b == rep)
+        return self.poset.lower_covers(self.group_of[name])
 
     def ancestors(self, name: str) -> frozenset[str]:
         rep = self.group_of[name]

@@ -1,10 +1,9 @@
 """Observability: lightweight metrics and tracing for the hot paths.
 
-The reproduction's ROADMAP promises perf PRs (sharding, batching,
-caching); none of them can *prove* a win unless the hot paths are
-measurable.  This package provides the counters, timers, and trace spans
-that `python -m repro bench` snapshots into the ``BENCH_*.json``
-trajectory files.
+A perf claim cannot be proved unless the hot paths are measurable.
+This package provides the counters and the one mergeable histogram type
+(timers, trace spans and histograms) that `python -m repro bench`
+snapshots into the ``BENCH_*.json`` trajectory files.
 
 Usage::
 
@@ -20,7 +19,9 @@ cost is one global load and an identity check per call site.
 """
 
 from .recorder import (
+    ALPHA,
     NULL,
+    Histogram,
     NullRecorder,
     Recorder,
     get_recorder,
@@ -33,7 +34,9 @@ from .recorder import (
 )
 
 __all__ = [
+    "ALPHA",
     "NULL",
+    "Histogram",
     "NullRecorder",
     "Recorder",
     "get_recorder",

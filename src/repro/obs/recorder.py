@@ -1,4 +1,4 @@
-"""Metrics recording: counters, timers, histograms, and trace spans.
+"""Metrics recording: counters, histograms, and trace spans.
 
 The module keeps one *current* recorder.  The default is a
 :class:`NullRecorder` whose hot-path cost is a single global load and an
@@ -7,6 +7,10 @@ opts in with :func:`use_recorder`.  Hot paths call the module-level
 helpers (:func:`incr`, :func:`observe`, :func:`trace`) rather than
 holding a recorder, so one ``with use_recorder(...)`` block captures
 everything that happens inside it, across every subsystem.
+
+Every timer and every histogram is one mergeable :class:`Histogram`,
+so recorders merge (:meth:`Recorder.merge` over :meth:`Recorder.state`)
+across runs and processes with lifetime p50/p99 within :data:`ALPHA`.
 
 Counter names are dotted paths grouped by subsystem
 (``tableau.expansions``, ``reasoner.sat_cache_hits``,
@@ -17,11 +21,15 @@ catalogue.
 from __future__ import annotations
 
 import json
+import math
 import time
+from collections import defaultdict
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 __all__ = [
+    "ALPHA",
+    "Histogram",
     "Recorder",
     "NullRecorder",
     "NULL",
@@ -35,13 +43,99 @@ __all__ = [
 ]
 
 
-#: histogram sample retention per name: enough for stable p50/p99 on
-#: serving workloads without unbounded growth on long-lived processes
-SAMPLE_CAP = 512
+#: relative accuracy of every reported quantile (DDSketch's α): a
+#: bucket's representative lies within ALPHA of each value it counts
+ALPHA = 0.01
+_GAMMA = (1 + ALPHA) / (1 - ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
+
+
+class Histogram:
+    """A mergeable log-bucketed histogram (DDSketch: Masson, Rim & Lee, 2019).
+
+    Count, total, min and max are exact.  A value v > 0 counts in bucket
+    ``k = ⌈log_γ v⌉`` with γ = (1 + ALPHA)/(1 − ALPHA), which spans
+    (γ^(k−1), γ^k]; values ≤ 0 count apart.  Bucket counts add exactly,
+    so a merged histogram answers every quantile as one fed all the
+    values would, whatever the merge order.
+    """
+
+    __slots__ = ("count", "total", "min", "max", "zeros", "buckets")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.zeros = 0  # observations ≤ 0, which have no log bucket
+        self.buckets: dict[int, int] = {}
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if value > 0:
+            key = math.ceil(math.log(value) / _LOG_GAMMA)
+            self.buckets[key] = self.buckets.get(key, 0) + 1
+        else:
+            self.zeros += 1
+
+    def quantile(self, q: float) -> float:
+        """The nearest-rank ``q``-quantile, within :data:`ALPHA`.
+
+        The rank is ``round(q·(count − 1))``; its bucket k reports
+        2γ^k/(γ + 1) and the values ≤ 0 report 0, clamped to [min, max].
+        """
+        rank = round(q * (self.count - 1))
+        seen = self.zeros
+        value = 0.0
+        if rank >= seen:
+            for key in sorted(self.buckets):
+                seen += self.buckets[key]
+                if seen > rank:
+                    value = 2 * _GAMMA**key / (_GAMMA + 1)
+                    break
+        return min(max(value, self.min), self.max)
+
+    def summary(self) -> dict[str, float]:
+        """A snapshot cell: ``{count, total, min, max, mean, p50, p99}``."""
+        return {
+            "count": self.count,
+            "total": self.total,
+            "min": self.min,
+            "max": self.max,
+            "mean": self.total / self.count,
+            "p50": self.quantile(0.50),
+            "p99": self.quantile(0.99),
+        }
+
+    def state(self) -> dict[str, Any]:
+        """A JSON-ready copy that :meth:`merge` adds back exactly."""
+        return {
+            "count": self.count,
+            "total": self.total,
+            "min": self.min,
+            "max": self.max,
+            "zeros": self.zeros,
+            "buckets": sorted(self.buckets.items()),
+        }
+
+    def merge(self, state: dict[str, Any]) -> None:
+        """Add a :meth:`state` (possibly shipped as JSON) into this one."""
+        self.count += state["count"]
+        self.total += state["total"]
+        self.min = min(self.min, state["min"])
+        self.max = max(self.max, state["max"])
+        self.zeros += state["zeros"]
+        for key, n in state["buckets"]:
+            self.buckets[key] = self.buckets.get(key, 0) + n
 
 
 class Recorder:
-    """Accumulates counters, timers, and histograms.
+    """Accumulates counters, and one :class:`Histogram` per timer and histogram.
 
     >>> rec = Recorder()
     >>> rec.incr("tableau.expansions")
@@ -50,19 +144,13 @@ class Recorder:
     3
     """
 
-    __slots__ = ("counters", "_timers", "_histograms", "_samples")
-
-    #: class-level flag read by the hot-path helpers; NullRecorder flips it
-    enabled: bool = True
+    __slots__ = ("counters", "_timers", "_histograms")
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
-        # name -> [count, total_seconds, min, max]
-        self._timers: dict[str, list[float]] = {}
-        # name -> [count, total, min, max]
-        self._histograms: dict[str, list[float]] = {}
-        # name -> ring of the last SAMPLE_CAP observations (for quantiles)
-        self._samples: dict[str, list[float]] = {}
+        # only recording or merging indexes a name, so no cell is empty
+        self._timers: defaultdict[str, Histogram] = defaultdict(Histogram)  # seconds
+        self._histograms: defaultdict[str, Histogram] = defaultdict(Histogram)
 
     # -- recording ------------------------------------------------------ #
 
@@ -71,156 +159,53 @@ class Recorder:
         self.counters[name] = self.counters.get(name, 0) + n
 
     def observe(self, name: str, value: float) -> None:
-        """Record one observation into the histogram ``name``.
-
-        Besides the running count/total/min/max, the last
-        :data:`SAMPLE_CAP` observations are retained in a ring so
-        :meth:`snapshot` can report p50/p99 quantiles.
-        """
-        cell = self._histograms.get(name)
-        if cell is None:
-            self._histograms[name] = [1, value, value, value]
-            self._samples[name] = [value]
-        else:
-            cell[0] += 1
-            cell[1] += value
-            if value < cell[2]:
-                cell[2] = value
-            if value > cell[3]:
-                cell[3] = value
-            ring = self._samples[name]
-            if len(ring) < SAMPLE_CAP:
-                ring.append(value)
-            else:
-                ring[int(cell[0]) % SAMPLE_CAP] = value
+        """Record one observation into the histogram ``name``."""
+        self._histograms[name].add(value)
 
     def record_timing(self, name: str, seconds: float) -> None:
         """Record one elapsed span into the timer ``name``."""
-        cell = self._timers.get(name)
-        if cell is None:
-            self._timers[name] = [1, seconds, seconds, seconds]
-        else:
-            cell[0] += 1
-            cell[1] += seconds
-            if seconds < cell[2]:
-                cell[2] = seconds
-            if seconds > cell[3]:
-                cell[3] = seconds
+        self._timers[name].add(seconds)
 
-    @contextmanager
-    def time(self, name: str) -> Iterator[None]:
-        """Context manager recording its own wall time under ``name``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_timing(name, time.perf_counter() - t0)
+    def merge(self, state: dict[str, Any]) -> None:
+        """Add another recorder's :meth:`state` into this one.
 
-    def merge(self, other: "Recorder") -> None:
-        """Fold ``other``'s counters, timers, and histograms into this one.
-
-        Used by the bench harness to combine a workload recorder with
-        one that lived in another context (e.g. a serving process's
-        recorder installed via :func:`set_recorder`).  Sample rings are
-        concatenated and re-capped at :data:`SAMPLE_CAP`, so quantiles
-        over the merged recorder stay a recent-window estimate.
+        Counters and bucket counts add exactly, so merged quantiles do
+        not depend on the merge order.  The bench harness merges a
+        per-run recorder in process; the multi-worker front merges each
+        worker's state shipped over the control channel.
         """
-        for name, n in other.counters.items():
+        for name, n in state.get("counters", {}).items():
             self.incr(name, n)
-        for target, source in (
-            (self._timers, other._timers),
-            (self._histograms, other._histograms),
-        ):
-            for name, (count, total, lo, hi) in source.items():
-                cell = target.get(name)
-                if cell is None:
-                    target[name] = [count, total, lo, hi]
-                else:
-                    cell[0] += count
-                    cell[1] += total
-                    cell[2] = min(cell[2], lo)
-                    cell[3] = max(cell[3], hi)
-        for name, ring in other._samples.items():
-            merged = self._samples.get(name, []) + list(ring)
-            self._samples[name] = merged[-SAMPLE_CAP:]
-
-    def merge_snapshot(self, snap: dict[str, Any]) -> None:
-        """Fold a wire-shipped :meth:`snapshot` dict into this recorder.
-
-        The multi-worker front process aggregates ``/v1/metrics`` by
-        fetching each worker's recorder snapshot over the control
-        channel and merging here — the worker's live ``Recorder`` object
-        never crosses the process boundary.  Quantiles need raw
-        observations, so workers ship ``snapshot(samples=True)``;
-        without a ``samples`` section only count/total/min/max merge and
-        p50/p99 reflect whichever sides did carry samples.
-        """
-        for name, n in (snap.get("counters") or {}).items():
-            self.incr(name, int(n))
-        for target, key in ((self._timers, "timers"), (self._histograms, "histograms")):
-            for name, summary in (snap.get(key) or {}).items():
-                count = int(summary.get("count", 0))
-                if count <= 0:
-                    continue
-                total = float(summary.get("total", 0.0))
-                lo = float(summary.get("min", 0.0))
-                hi = float(summary.get("max", 0.0))
-                cell = target.get(name)
-                if cell is None:
-                    target[name] = [count, total, lo, hi]
-                else:
-                    cell[0] += count
-                    cell[1] += total
-                    cell[2] = min(cell[2], lo)
-                    cell[3] = max(cell[3], hi)
-        for name, ring in (snap.get("samples") or {}).items():
-            merged = self._samples.get(name, []) + [float(v) for v in ring]
-            self._samples[name] = merged[-SAMPLE_CAP:]
+        for section, cells in self._sections():
+            for name, cell_state in state.get(section, {}).items():
+                cells[name].merge(cell_state)
 
     # -- reading -------------------------------------------------------- #
 
-    def snapshot(self, *, samples: bool = False) -> dict[str, Any]:
-        """A JSON-ready copy of everything recorded so far.
+    def state(self) -> dict[str, Any]:
+        """A JSON-ready copy of everything recorded, buckets included."""
+        return self._view(Histogram.state)
 
-        Timer/histogram entries are summarized as
-        ``{count, total, min, max, mean}`` — timers in seconds.
-        Histograms additionally carry ``p50`` and ``p99`` computed over
-        the retained sample ring (exact below :data:`SAMPLE_CAP`
-        observations, a recent-window estimate beyond it).
+    def snapshot(self) -> dict[str, Any]:
+        """A JSON-ready summary of everything recorded so far.
 
-        With ``samples=True`` the raw rings are included under a
-        ``samples`` key so :meth:`merge_snapshot` on the receiving side
-        can compute cross-process quantiles.
+        Each timer (in seconds) and histogram is summarized as
+        ``{count, total, min, max, mean, p50, p99}``: count, min and max
+        are exact, and the quantiles cover the recorder's whole life
+        within :data:`ALPHA`.
         """
+        return self._view(Histogram.summary)
 
-        def summarize(cells: dict[str, list[float]]) -> dict[str, dict[str, float]]:
-            return {
-                name: {
-                    "count": int(count),
-                    "total": total,
-                    "min": lo,
-                    "max": hi,
-                    "mean": total / count if count else 0.0,
-                }
-                for name, (count, total, lo, hi) in sorted(cells.items())
-            }
+    def _sections(self) -> tuple[tuple[str, dict[str, Histogram]], ...]:
+        return (("timers", self._timers), ("histograms", self._histograms))
 
-        histograms = summarize(self._histograms)
-        for name, cell in histograms.items():
-            ring = sorted(self._samples.get(name, ()))
-            if ring:
-                cell["p50"] = _quantile(ring, 0.50)
-                cell["p99"] = _quantile(ring, 0.99)
-        snap: dict[str, Any] = {
-            "counters": dict(sorted(self.counters.items())),
-            "timers": summarize(self._timers),
-            "histograms": histograms,
-        }
-        if samples:
-            snap["samples"] = {
-                name: list(ring) for name, ring in sorted(self._samples.items())
-            }
-        return snap
+    def _view(self, cell_view: Callable[[Histogram], dict[str, Any]]) -> dict[str, Any]:
+        # each name list is copied out before its cells are read, so a
+        # thread that records a new name meanwhile cannot break the loop
+        view: dict[str, Any] = {"counters": dict(sorted(self.counters.items()))}
+        for section, cells in self._sections():
+            view[section] = {name: cell_view(cells[name]) for name in sorted(cells)}
+        return view
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
@@ -229,7 +214,6 @@ class Recorder:
         self.counters.clear()
         self._timers.clear()
         self._histograms.clear()
-        self._samples.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -248,8 +232,6 @@ class NullRecorder(Recorder):
 
     __slots__ = ()
 
-    enabled = False
-
     def incr(self, name: str, n: int = 1) -> None:  # pragma: no cover - no-op
         pass
 
@@ -259,15 +241,8 @@ class NullRecorder(Recorder):
     def record_timing(self, name: str, seconds: float) -> None:  # pragma: no cover
         pass
 
-    @contextmanager
-    def time(self, name: str) -> Iterator[None]:
-        yield
-
-
-def _quantile(ordered: list[float], q: float) -> float:
-    """The ``q``-quantile of a sorted, non-empty sample (nearest-rank)."""
-    rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-    return ordered[rank]
+    def merge(self, state: dict[str, Any]) -> None:
+        pass
 
 
 #: the shared disabled recorder; identity-compared on every hot-path call

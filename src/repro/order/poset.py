@@ -65,7 +65,8 @@ class Poset:
         for e in self._elements:
             for x in self._up[e]:
                 self._down[x].add(e)
-        self._covers: Optional[list[tuple[Hashable, Hashable]]] = None
+        # element -> (elements covering it, elements it covers)
+        self._covers: Optional[dict[Hashable, tuple[frozenset, frozenset]]] = None
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -115,17 +116,33 @@ class Poset:
         """The covering pairs ``(a, b)``: a < b with nothing strictly between.
 
         The poset is immutable, so the transitive reduction is computed
-        once and cached; callers receive a copy they may mutate freely.
+        once and cached; callers receive a list they may mutate freely.
         """
+        return [(a, b) for a in self._elements for b in self.upper_covers(a)]
+
+    def upper_covers(self, element: Hashable) -> frozenset:
+        """The elements covering ``element`` (its Hasse-diagram parents)."""
+        self._check(element)
+        return self._cover_map()[element][0]
+
+    def lower_covers(self, element: Hashable) -> frozenset:
+        """The elements ``element`` covers (its Hasse-diagram children)."""
+        self._check(element)
+        return self._cover_map()[element][1]
+
+    def _cover_map(self) -> dict[Hashable, tuple[frozenset, frozenset]]:
+        # a's upper covers are the minimal elements of above = up(a) − {a}:
+        # above − ⋃{up(m) − {m} : m ∈ above}
         if self._covers is None:
-            out = []
+            upper = {}
             for a in self._elements:
-                strictly_above = self._up[a] - {a}
-                for b in strictly_above:
-                    if not any(self.lt(a, m) and self.lt(m, b) for m in strictly_above - {b}):
-                        out.append((a, b))
-            self._covers = out
-        return list(self._covers)
+                above = self._up[a] - {a}
+                upper[a] = above.difference(*(self._up[m] - {m} for m in above))
+            self._covers = {
+                e: (upper[e], frozenset(a for a in self._down[e] if e in upper[a]))
+                for e in self._elements
+            }
+        return self._covers
 
     def hasse_diagram(self) -> DiGraph:
         """The Hasse diagram as a :class:`DiGraph` (edges point upward)."""
@@ -215,18 +232,13 @@ class Poset:
         *tree taxonomy* case the paper contrasts with the general DAG
         allowed by a partial order.
         """
-        covers_of: dict[Hashable, int] = {e: 0 for e in self._elements}
-        for a, _ in self.covers():
-            covers_of[a] += 1
-        return all(n <= 1 for n in covers_of.values())
+        return all(len(above) <= 1 for above, _ in self._cover_map().values())
 
     def height(self) -> int:
         """The length (edge count) of a longest chain."""
-        order = topological_sort(self.hasse_diagram())
         depth = {e: 0 for e in self._elements}
-        hasse = self.hasse_diagram()
-        for e in order:
-            for succ in hasse.successors(e):
+        for e in self.linear_extension():
+            for succ in self.upper_covers(e):
                 depth[succ] = max(depth[succ], depth[e] + 1)
         return max(depth.values(), default=0)
 

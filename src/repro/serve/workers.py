@@ -156,8 +156,9 @@ class WorkerServer(ReasoningServer):
         }, None
 
     async def _ctl_obs(self, request: HttpRequest) -> Response:
+        """``_ctl_ping`` plus the recorder's state: only here do buckets ship."""
         status, body, extra = await self._ctl_ping(request)
-        body["recorder"] = _obs.get_recorder().snapshot(samples=True)
+        body["recorder"] = _obs.get_recorder().state()
         return status, body, extra
 
     async def _ctl_swap(self, request: HttpRequest) -> Response:
@@ -693,15 +694,14 @@ class FrontServer(ReasoningServer):
 
         The front's recorder (admission, routing, publication) and each
         worker's recorder (batching, reasoning, instdb) are disjoint
-        views of the same service; ``Recorder.merge_snapshot`` folds the
-        workers' wire-shipped snapshots — including raw sample rings, so
-        latency quantiles are pool-wide.
+        views of the same service.  ``Recorder.merge`` adds the front's
+        state and each live worker's shipped state (``/v1/ctl/obs``)
+        bucket by bucket, so pool-wide quantiles are those of one
+        recorder that saw every observation, within ``repro.obs.ALPHA``.
         """
         status, body, extra = await self._metrics(request)
         merged = _obs.Recorder()
-        front_recorder = _obs.get_recorder()
-        if front_recorder is not _obs.NULL:
-            merged.merge(front_recorder)
+        merged.merge(_obs.get_recorder().state())
         rows = await asyncio.gather(
             *(self._fetch_obs(handle) for handle in self.handles_up())
         )
@@ -710,7 +710,7 @@ class FrontServer(ReasoningServer):
             if row is None:
                 errors += 1
             else:
-                merged.merge_snapshot(row)
+                merged.merge(row)
         body["metrics"] = merged.snapshot()
         block = self.supervisor.health_block()
         if errors:

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import NULL, NullRecorder, Recorder, use_recorder
+from repro.obs import ALPHA, NULL, NullRecorder, Recorder, use_recorder
 
 
 class TestRecorder:
@@ -26,14 +28,6 @@ class TestRecorder:
         assert cell["max"] == 3.0
         assert cell["total"] == 6.0
         assert cell["mean"] == pytest.approx(2.0)
-
-    def test_time_context_records(self):
-        rec = Recorder()
-        with rec.time("span"):
-            pass
-        cell = rec.snapshot()["timers"]["span"]
-        assert cell["count"] == 1
-        assert cell["total"] >= 0
 
     def test_snapshot_is_a_copy(self):
         rec = Recorder()
@@ -118,9 +112,77 @@ class TestCurrentRecorder:
         null.incr("a")
         null.observe("h", 1.0)
         null.record_timing("t", 1.0)
-        with null.time("t"):
-            pass
         assert null.snapshot() == {"counters": {}, "timers": {}, "histograms": {}}
+
+
+def shipped(rec: Recorder) -> dict:
+    """``rec.state()`` as a worker ships it: through JSON."""
+    return json.loads(json.dumps(rec.state()))
+
+
+@st.composite
+def split_values(draw):
+    """Positive values, an owner for each among 1–4 recorders, a merge order."""
+    parts = draw(st.integers(1, 4))
+    values = draw(
+        st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=300)
+    )
+    owners = draw(
+        st.lists(st.integers(0, parts - 1), min_size=len(values), max_size=len(values))
+    )
+    return values, owners, draw(st.permutations(range(parts)))
+
+
+class TestMerge:
+    def test_pool_quantiles_do_not_depend_on_merge_order(self):
+        # the pooled p50 lies in one recorder and the p99 in the other,
+        # so a merge that keeps only a recent window of values gets one
+        # of them wrong whichever side merges last
+        ones, hundreds = Recorder(), Recorder()
+        for _ in range(900):
+            ones.observe("h", 1.0)
+        for _ in range(512):
+            hundreds.observe("h", 100.0)
+        states = [shipped(ones), shipped(hundreds)]
+        for order in (states, states[::-1]):
+            merged = Recorder()
+            for state in order:
+                merged.merge(state)
+            cell = merged.snapshot()["histograms"]["h"]
+            assert cell["count"] == 1412
+            assert cell["p50"] == pytest.approx(1.0, rel=ALPHA)
+            assert cell["p99"] == pytest.approx(100.0, rel=ALPHA)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(split_values())
+    def test_merged_recorders_equal_one_recorder(self, split):
+        values, owners, order = split
+        whole = Recorder()
+        parts = [Recorder() for _ in order]
+        for value, owner in zip(values, owners):
+            whole.observe("h", value)
+            parts[owner].observe("h", value)
+        merged = Recorder()
+        for index in order:
+            merged.merge(shipped(parts[index]))
+        got = merged.snapshot()["histograms"]["h"]
+        want = whole.snapshot()["histograms"]["h"]
+        for key in ("count", "min", "max", "p50", "p99"):
+            assert got[key] == want[key], key
+        ordered = sorted(values)
+        for key, q in (("p50", 0.50), ("p99", 0.99)):
+            exact = ordered[round(q * (len(ordered) - 1))]
+            # a bucket's edge sits exactly ALPHA from its representative,
+            # so allow the float rounding of γ^k on top
+            assert got[key] == pytest.approx(exact, rel=ALPHA + 1e-12), key
+
+    def test_null_recorder_merges_nothing(self):
+        rec = Recorder()
+        rec.incr("a")
+        rec.observe("h", 1.0)
+        rec.record_timing("t", 0.1)
+        NULL.merge(rec.state())
+        assert NULL.snapshot() == {"counters": {}, "timers": {}, "histograms": {}}
 
 
 class TestInstrumentationCoverage:

@@ -246,6 +246,18 @@ def test_covers_generate_the_order(p):
 
 @settings(max_examples=60, deadline=None)
 @given(random_poset())
+def test_covers_are_the_pairs_with_nothing_between(p):
+    covers = set(p.covers())
+    for a in p.elements:
+        for b in p.elements:
+            between = any(p.lt(a, m) and p.lt(m, b) for m in p.elements)
+            assert ((a, b) in covers) == (p.lt(a, b) and not between)
+        assert p.upper_covers(a) == {high for low, high in covers if low == a}
+        assert p.lower_covers(a) == {low for low, high in covers if high == a}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_poset())
 def test_hasse_is_acyclic_and_dual_involutive(p):
     assert is_acyclic(p.hasse_diagram())
     assert p.dual().dual() == p

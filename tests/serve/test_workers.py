@@ -11,7 +11,7 @@ Three layers, cheapest first:
 * **unit tests** over the swap-shipping pieces: ``EditRecord.from_diff``
   / ``apply`` round-trips, ``SnapshotManager.prepare_delta`` (stale
   records rejected), ``fork_clone`` sharing the classified hierarchy,
-  and ``Recorder.merge_snapshot`` wire round-trips;
+  and ``Recorder.merge`` over wire-shipped ``Recorder.state`` dicts;
 * **end-to-end tests** that boot ``python -m repro serve --workers N``
   as a real child process and exercise routing, the aggregated
   ``/v1/metrics``, hot-swap propagation with bounded version skew, and
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.dl import parse_tbox
 from repro.dl.diff import axiom_diff
-from repro.obs import Recorder
+from repro.obs import ALPHA, Recorder
 from repro.serve import (
     EditRecord,
     ServeConfig,
@@ -245,32 +245,38 @@ class TestEditRecordShipping:
 
 
 class TestRecorderMerge:
-    def test_merge_snapshot_folds_counters_timers_and_samples(self):
+    def test_merge_folds_counters_timers_and_histograms(self):
         worker = Recorder()
         worker.incr("serve.requests", 3)
         worker.observe("serve.latency_ms", 5.0)
         worker.observe("serve.latency_ms", 7.0)
-        wire = json.loads(json.dumps(worker.snapshot(samples=True)))
+        worker.record_timing("tableau.solve", 0.25)
+        worker.observe("repl.lag_records", 0.0)  # values ≤ 0 count apart
+        wire = json.loads(json.dumps(worker.state()))
 
         merged = Recorder()
         merged.incr("serve.requests", 1)
         merged.observe("serve.latency_ms", 100.0)
-        merged.merge_snapshot(wire)
+        merged.record_timing("tableau.solve", 0.5)
+        merged.merge(wire)
 
         snap = merged.snapshot()
         assert snap["counters"]["serve.requests"] == 4
         hist = snap["histograms"]["serve.latency_ms"]
         assert hist["count"] == 3
         assert hist["min"] == 5.0 and hist["max"] == 100.0
-        # pool-wide percentiles come from the merged sample rings: the
+        # pool-wide percentiles come from the merged buckets: the
         # worker's 5/7ms observations must survive the wire round-trip
-        assert hist["p50"] == 7.0
-        assert hist["p99"] == 100.0
+        assert hist["p50"] == pytest.approx(7.0, rel=ALPHA)
+        assert hist["p99"] == pytest.approx(100.0, rel=ALPHA)
+        timer = snap["timers"]["tableau.solve"]
+        assert (timer["count"], timer["total"]) == (2, 0.75)
+        assert snap["histograms"]["repl.lag_records"]["p99"] == 0.0
 
-    def test_merge_snapshot_tolerates_missing_sections(self):
+    def test_merge_tolerates_missing_sections(self):
         merged = Recorder()
-        merged.merge_snapshot({})
-        merged.merge_snapshot({"counters": {"x": 2}})
+        merged.merge({})
+        merged.merge({"counters": {"x": 2}})
         assert merged.snapshot()["counters"]["x"] == 2
 
 
