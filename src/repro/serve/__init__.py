@@ -28,8 +28,8 @@ one-shot CLI invocations that re-parse and re-classify per call:
   with hot swaps shipped as edit records (``--workers N``); both roles
   register routes into the server's table, and the front adds its
   broadcast as a publish hook;
-* :mod:`repro.serve.control` — the front↔worker control channel
-  (HTTP/1.1 over per-worker Unix sockets);
+* :mod:`repro.serve.control` — the front↔worker channel: request-id
+  tagged frames, one multiplexed Unix-socket connection per worker;
 * :mod:`repro.serve.protocol` — HTTP/1.1 framing and the JSON bodies;
 * :mod:`repro.serve.loadgen` — in-process server thread, subprocess
   server, and client for the tests (load generation and the serving

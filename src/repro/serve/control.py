@@ -1,128 +1,268 @@
-"""The front↔worker control channel: HTTP/1.1 over Unix sockets.
+"""The front↔worker channel: tagged frames over one Unix socket per worker.
 
-The multi-worker mode (:mod:`repro.serve.workers`) keeps the wire
-format of the public API — JSON bodies framed as HTTP/1.1 — but runs it
-over per-worker Unix-domain stream sockets, so the front process can
-reuse one parser for both planes:
+The multi-worker mode (:mod:`repro.serve.workers`) carries everything
+the front asks of a worker over one connection to that worker's
+Unix-domain socket:
 
-* the **data plane**: query routes (``/v1/subsumes``, ...) proxied
-  verbatim to a worker and the worker's response relayed back;
+* the **data plane**: query routes (``/v1/subsumes``, ...) relayed to a
+  worker, whose JSON body the front writes to its client unparsed;
 * the **control plane**: worker-only routes under ``/v1/ctl/`` —
   ``ping`` (readiness + version), ``swap`` (apply one shipped edit
-  record), ``obs`` (the worker's recorder snapshot for metrics
-  aggregation).
+  record), ``obs`` (the worker's recorder state for the pooled
+  ``/v1/metrics``).
 
-:class:`WorkerClient` is the front's side: a small pool of keep-alive
-connections per worker, one in-flight request per connection (HTTP/1.1
-without pipelining), opened lazily and discarded on any error.  A
-request on a connection that fails is *not* retried here — routing owns
-retry policy, because only it knows which requests are idempotent and
-which other workers are alive.
+Every message is one length-prefixed frame tagged with a request id::
 
-Counters: ``workers.ctl_requests``, ``workers.ctl_reconnects``,
-``workers.ctl_errors``.
+    frame         = length:u32  rid:u32  head LF body   (big-endian;
+                                                         length counts
+                                                         head LF body)
+    request head  = METHOD SP PATH
+    response head = STATUS SP TBOX_VERSION SP RETRY_AFTER  ("-" if absent)
+
+so a channel carries any number of requests at once and the worker
+answers each as soon as it is done, out of order.  Both ends read with
+:class:`FrameProtocol`, an :class:`asyncio.BufferedProtocol` whose
+socket reads land in one reused buffer; a frame is copied out of it
+once.  The size bounds are the HTTP ones they replace: a request frame
+over :data:`MAX_REQUEST_FRAME` is answered 400 and the worker closes the
+channel, and a response frame over :data:`MAX_RESPONSE_FRAME` poisons
+the channel at the front.
+
+:class:`WorkerClient` is the front's side: one channel per worker,
+opened on first use (concurrent first requests share the connect) and
+reopened on the first request after it is lost.  Each request's deadline
+is a timer; an answer that arrives after it is dropped.  A lost channel
+fails every pending request with :class:`ConnectionError` and is *not*
+retried here — routing owns retry policy, because only it knows which
+requests are idempotent and which other workers are alive.
+:class:`ChannelServer` is the worker's side: each request frame runs the
+worker's dispatch as its own task, so the batcher sees concurrent
+checks.
+
+Counters: ``workers.ctl_requests``, ``workers.ctl_errors``,
+``workers.ctl_late_answers``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Optional
+import struct
+from typing import Any, Awaitable, Callable, Optional
 
 from ..obs import recorder as _obs
+from .protocol import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    HttpRequest,
+    encode_body,
+    error_body,
+)
 
 __all__ = [
-    "WorkerProtocolError",
+    "ChannelServer",
+    "FrameProtocol",
     "WorkerClient",
-    "read_response",
+    "WorkerProtocolError",
 ]
 
-#: response head larger than this is a protocol violation, not a slow peer
-MAX_RESPONSE_HEAD = 16 * 1024
+#: a frame's prefix: the length of what follows it, and the request id
+HEADER = struct.Struct("!II")
 #: response bodies are JSON documents, same ceiling as the public API
 MAX_RESPONSE_BODY = 4 * 1024 * 1024
+#: the largest frame either end accepts: a head line plus a capped body
+MAX_REQUEST_FRAME = MAX_HEADER_BYTES + MAX_BODY_BYTES
+MAX_RESPONSE_FRAME = MAX_HEADER_BYTES + MAX_RESPONSE_BODY
+#: a channel's first read buffer; a larger frame grows it
+INITIAL_BUFFER = 16 * 1024
+
+_RID_MASK = 0xFFFFFFFF
 
 
 class WorkerProtocolError(Exception):
-    """The worker sent something that is not a well-formed response."""
+    """The worker sent something that is not a well-formed answer."""
 
 
-async def read_response(
-    reader: asyncio.StreamReader, max_body: Optional[int] = MAX_RESPONSE_BODY
-) -> tuple[int, dict[str, str], bytes]:
-    """Read one HTTP/1.1 response: ``(status, headers, body)``.
-
-    A Content-Length above ``max_body`` is a protocol violation; None
-    accepts any length.
-    Raises :class:`WorkerProtocolError` on malformed framing and
-    ``IncompleteReadError``/``ConnectionError`` when the peer vanishes
-    mid-response — both mean the connection is poisoned and must be
-    discarded.
-    """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.LimitOverrunError as exc:
-        raise WorkerProtocolError("response head too large") from exc
-    if len(head) > MAX_RESPONSE_HEAD:
-        raise WorkerProtocolError("response head too large")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise WorkerProtocolError(f"bad status line: {lines[0]!r}")
-    try:
-        status = int(parts[1])
-    except ValueError as exc:
-        raise WorkerProtocolError(f"bad status code: {parts[1]!r}") from exc
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise WorkerProtocolError(f"bad header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError as exc:
-        raise WorkerProtocolError("bad Content-Length") from exc
-    if length < 0 or (max_body is not None and length > max_body):
-        raise WorkerProtocolError(f"unreasonable Content-Length {length}")
-    body = await reader.readexactly(length) if length else b""
-    return status, headers, body
-
-
-def _encode_request(method: str, path: str, body: Optional[bytes]) -> bytes:
-    payload = body or b""
-    head = (
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: worker\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        f"Connection: keep-alive\r\n"
-        f"\r\n"
+def encode_frame(rid: int, head: str, body: bytes) -> bytes:
+    """One frame: the prefix, the head line, LF, the body."""
+    line = head.encode("latin-1")
+    return b"".join(
+        (HEADER.pack(len(line) + 1 + len(body), rid), line, b"\n", body)
     )
-    return head.encode("latin-1") + payload
+
+
+class FrameProtocol(asyncio.BufferedProtocol):
+    """Length-prefixed frames read into one reused buffer.
+
+    The transport ``recv_into``s the free tail of the buffer; every
+    complete frame is split at its first LF, copied out once and handed
+    to :meth:`frame_received`.  A frame larger than the buffer grows it:
+    the transport holds a view of the old one while it delivers a read,
+    so the pending bytes move to a new buffer instead of resizing in
+    place.  A frame longer than ``max_frame`` goes to
+    :meth:`frame_too_large` and ends the reading.
+    """
+
+    def __init__(self, max_frame: int) -> None:
+        self.max_frame = max_frame
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray(INITIAL_BUFFER)
+        self._view = memoryview(self._buffer)
+        self._start = 0  # first byte not yet consumed
+        self._end = 0  # one past the last byte received
+
+    # -- subclass hooks --------------------------------------------------- #
+
+    def frame_received(self, rid: int, head: bytes, body: bytes) -> None:
+        raise NotImplementedError
+
+    def frame_too_large(self, rid: int, length: int) -> None:
+        raise NotImplementedError
+
+    # -- asyncio.BufferedProtocol ----------------------------------------- #
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._end == len(self._buffer):
+            # full with a partial frame at its tail: move it to the front
+            pending = self._end - self._start
+            if pending <= self._start:
+                self._buffer[:pending] = self._view[self._start:self._end]
+            else:
+                self._move(len(self._buffer))
+            self._start, self._end = 0, pending
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._end += nbytes
+        buffer, view = self._buffer, self._view
+        while self._end - self._start >= HEADER.size:
+            length, rid = HEADER.unpack_from(buffer, self._start)
+            if length > self.max_frame:
+                self._start = self._end = 0
+                self.frame_too_large(rid, length)
+                return
+            begin = self._start + HEADER.size
+            stop = begin + length
+            if stop > self._end:
+                if HEADER.size + length > len(buffer):
+                    self._move(HEADER.size + length)
+                break
+            newline = buffer.find(b"\n", begin, stop)
+            if newline < 0:
+                newline = stop
+            head = bytes(view[begin:newline])
+            body = bytes(view[newline + 1:stop]) if newline < stop else b""
+            self._start = stop
+            self.frame_received(rid, head, body)
+            if self.transport is None or self.transport.is_closing():
+                return
+        if self._start == self._end:
+            self._start = self._end = 0
+
+    def _move(self, need: int) -> None:
+        """Copy the pending bytes to the front of a new, large enough buffer."""
+        pending = self._end - self._start
+        grown = bytearray(max(need, 2 * len(self._buffer)))
+        grown[:pending] = self._view[self._start:self._end]
+        self._buffer, self._view = grown, memoryview(grown)
+        self._start, self._end = 0, pending
+
+
+# --------------------------------------------------------------------- #
+# the front's side
+# --------------------------------------------------------------------- #
+
+
+class _ClientChannel(FrameProtocol):
+    """The front's end of one worker channel: request ids to futures."""
+
+    def __init__(self) -> None:
+        super().__init__(MAX_RESPONSE_FRAME)
+        self._loop = asyncio.get_running_loop()
+        self._pending: dict[int, tuple[asyncio.Future, asyncio.TimerHandle]] = {}
+        self._next_rid = 0
+        self.lost = False
+
+    def call(
+        self, method: str, path: str, body: bytes, timeout_s: float
+    ) -> asyncio.Future:
+        """Send one request; the future resolves to its answer."""
+        if self.lost or self.transport is None:
+            raise ConnectionError("worker channel closed")
+        self._next_rid = rid = (self._next_rid + 1) & _RID_MASK
+        future = self._loop.create_future()
+        timer = self._loop.call_later(timeout_s, self._expire, rid)
+        self._pending[rid] = (future, timer)
+        self.transport.write(encode_frame(rid, f"{method} {path}", body))
+        return future
+
+    def _expire(self, rid: int) -> None:
+        entry = self._pending.pop(rid, None)
+        if entry is not None and not entry[0].done():
+            entry[0].set_exception(asyncio.TimeoutError())
+
+    def frame_received(self, rid: int, head: bytes, body: bytes) -> None:
+        entry = self._pending.pop(rid, None)
+        if entry is None:
+            # its deadline passed, or its caller went away
+            _obs.incr("workers.ctl_late_answers")
+            return
+        future, timer = entry
+        timer.cancel()
+        if future.done():
+            return
+        try:
+            status, version, retry = head.split(b" ")
+            headers: dict[str, str] = {}
+            if version != b"-":
+                headers["tbox-version"] = version.decode("ascii")
+            if retry != b"-":
+                headers["retry-after"] = retry.decode("ascii")
+            future.set_result((int(status), headers, body))
+        except ValueError:
+            future.set_exception(
+                WorkerProtocolError(f"bad response head {head[:80]!r}")
+            )
+
+    def frame_too_large(self, rid: int, length: int) -> None:
+        self._fail_all(
+            lambda: WorkerProtocolError(
+                f"response frame of {length} bytes exceeds {self.max_frame}"
+            )
+        )
+        self.close()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self._fail_all(lambda: ConnectionError("worker channel lost"))
+
+    def close(self) -> None:
+        self.lost = True
+        if self.transport is not None:
+            self.transport.close()
+
+    def _fail_all(self, error: Callable[[], BaseException]) -> None:
+        self.lost = True
+        pending, self._pending = self._pending, {}
+        for future, timer in pending.values():
+            timer.cancel()
+            if not future.done():
+                future.set_exception(error())
 
 
 class WorkerClient:
-    """Pooled keep-alive requests to one worker's Unix socket.
+    """Requests to one worker over one multiplexed channel.
 
-    Not thread-safe; lives on the front's event loop.  ``pool_max``
-    bounds how many idle connections are retained — bursts above it
-    open short-lived extra connections that close after their request.
+    Not thread-safe; lives on the front's event loop.
     """
 
-    def __init__(
-        self,
-        socket_path: str,
-        *,
-        timeout_s: float = 60.0,
-        pool_max: int = 8,
-    ) -> None:
+    def __init__(self, socket_path: str, *, timeout_s: float = 60.0) -> None:
         self.socket_path = socket_path
         self.timeout_s = timeout_s
-        self.pool_max = pool_max
-        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._channel: Optional[_ClientChannel] = None
+        self._connecting: Optional[asyncio.Task] = None
         self._closed = False
 
     async def request(
@@ -133,49 +273,22 @@ class WorkerClient:
         *,
         timeout_s: Optional[float] = None,
     ) -> tuple[int, dict[str, str], bytes]:
-        """One request/response exchange; raises on any transport fault.
+        """One exchange: ``(status, headers, body)``; raises on any fault.
 
-        A pooled connection that turns out to be stale (the worker
-        closed it while idle) is retried once on a fresh connection —
-        that retry is safe even for non-idempotent requests because the
-        stale close happened *before* the request was received.
+        ``headers`` holds ``retry-after`` and ``tbox-version`` when the
+        answer carries them.  A lost channel or an expired deadline
+        raises; neither is retried here.
         """
         if self._closed:
             raise WorkerProtocolError("client closed")
         timeout = self.timeout_s if timeout_s is None else timeout_s
         _obs.incr("workers.ctl_requests")
-        pooled = bool(self._idle)
-        reader, writer = (
-            self._idle.pop() if pooled else await self._connect(timeout)
-        )
         try:
-            return await asyncio.wait_for(
-                self._exchange(reader, writer, method, path, body), timeout
-            )
-        except asyncio.TimeoutError:
-            # a timeout is not a stale connection — surface it (the
-            # worker may be mid-request; the connection is poisoned)
-            self._discard(writer)
-            _obs.incr("workers.ctl_errors")
-            raise
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            self._discard(writer)
-            if not pooled:
-                _obs.incr("workers.ctl_errors")
-                raise
-            # stale keep-alive connection: one fresh-connection retry
-            _obs.incr("workers.ctl_reconnects")
-            reader, writer = await self._connect(timeout)
-            try:
-                return await asyncio.wait_for(
-                    self._exchange(reader, writer, method, path, body), timeout
-                )
-            except Exception:
-                self._discard(writer)
-                _obs.incr("workers.ctl_errors")
-                raise
+            channel = self._channel
+            if channel is None or channel.lost:
+                channel = await self._connect(timeout)
+            return await channel.call(method, path, body or b"", timeout)
         except Exception:
-            self._discard(writer)
             _obs.incr("workers.ctl_errors")
             raise
 
@@ -202,43 +315,103 @@ class WorkerClient:
             raise WorkerProtocolError("worker body is not a JSON object")
         return status, decoded
 
-    async def _exchange(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-    ) -> tuple[int, dict[str, str], bytes]:
-        writer.write(_encode_request(method, path, body))
-        await writer.drain()
-        status, headers, payload = await read_response(reader)
-        if (
-            self._closed
-            or headers.get("connection", "keep-alive").lower() == "close"
-            or len(self._idle) >= self.pool_max
-        ):
-            self._discard(writer)
-        else:
-            self._idle.append((reader, writer))
-        return status, headers, payload
-
-    async def _connect(
-        self, timeout: float
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await asyncio.wait_for(
-            asyncio.open_unix_connection(self.socket_path), timeout
-        )
-
-    def _discard(self, writer: asyncio.StreamWriter) -> None:
+    async def _connect(self, timeout: float) -> _ClientChannel:
+        """Open the channel; every caller that comes meanwhile shares it."""
+        if self._connecting is None or self._connecting.done():
+            self._connecting = asyncio.ensure_future(self._open())
+            # a connect every waiter gave up on must not log its error
+            self._connecting.add_done_callback(
+                lambda task: task.cancelled() or task.exception()
+            )
+        connecting = self._connecting
         try:
-            writer.close()
-        except Exception:  # pragma: no cover - best-effort close
-            pass
+            return await asyncio.wait_for(asyncio.shield(connecting), timeout)
+        finally:
+            if connecting.done() and self._connecting is connecting:
+                self._connecting = None
+
+    async def _open(self) -> _ClientChannel:
+        loop = asyncio.get_running_loop()
+        _, channel = await loop.create_unix_connection(
+            _ClientChannel, self.socket_path
+        )
+        if self._closed:
+            channel.close()
+            raise WorkerProtocolError("client closed")
+        self._channel = channel
+        return channel
 
     async def close(self) -> None:
-        """Close every idle connection; in-flight requests finish alone."""
+        """Close the channel; its pending requests fail with ConnectionError."""
         self._closed = True
-        while self._idle:
-            _, writer = self._idle.pop()
-            self._discard(writer)
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
+
+
+# --------------------------------------------------------------------- #
+# the worker's side
+# --------------------------------------------------------------------- #
+
+class ChannelServer(FrameProtocol):
+    """The worker's end of one channel: one task per request frame.
+
+    ``handler`` answers an :class:`HttpRequest` with ``(status, body,
+    extra headers)``, as the server's dispatch does.  The status, the
+    body's ``tbox_version`` and any ``Retry-After`` go into the response
+    head; the body is encoded as the public listener encodes it, so the
+    front relays the bytes.  A lost channel leaves its tasks running (a
+    shipped swap still lands); :meth:`close` cancels them.
+    """
+
+    def __init__(self, handler: Callable[[HttpRequest], Awaitable[tuple]]) -> None:
+        super().__init__(MAX_REQUEST_FRAME)
+        self._handler = handler
+        self._tasks: set[asyncio.Task] = set()
+
+    def frame_received(self, rid: int, head: bytes, body: bytes) -> None:
+        method, _, path = head.decode("latin-1").partition(" ")
+        task = asyncio.get_running_loop().create_task(
+            self._answer(rid, HttpRequest(method=method, path=path, body=body))
+        )
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _answer(self, rid: int, request: HttpRequest) -> None:
+        extra = None
+        try:
+            if not request.path:
+                status, body = error_body(
+                    400, f"malformed request head {request.method!r}"
+                )
+            else:
+                status, body, extra = await self._handler(request)
+            payload = encode_body(body)
+        except Exception as exc:  # noqa: BLE001 - the front must hear back
+            status, body = error_body(500, f"{type(exc).__name__}: {exc}")
+            payload, extra = encode_body(body), None
+        version = body.get("tbox_version") if isinstance(body, dict) else None
+        retry = (extra or {}).get("Retry-After")
+        self._reply(rid, "%d %s %s" % (
+            status,
+            version if isinstance(version, int) else "-",
+            retry or "-",
+        ), payload)
+
+    def _reply(self, rid: int, head: str, payload: bytes) -> None:
+        if self.transport is not None and not self.transport.is_closing():
+            self.transport.write(encode_frame(rid, head, payload))
+
+    def frame_too_large(self, rid: int, length: int) -> None:
+        status, body = error_body(
+            400, f"request frame of {length} bytes exceeds {self.max_frame}"
+        )
+        self._reply(rid, f"{status} - -", encode_body(body))
+        self.close()
+
+    def close(self) -> None:
+        """Stop reading, cancel unanswered requests, close the socket."""
+        for task in list(self._tasks):
+            task.cancel()
+        if self.transport is not None:
+            self.transport.close()

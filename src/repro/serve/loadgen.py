@@ -246,19 +246,29 @@ class ServeProcess:
 
     def kill(self) -> None:
         """``SIGKILL``: no flush, no graceful anything — the crash case."""
-        if self.process is not None and self.process.poll() is None:
+        if self.process is None:
+            return
+        if self.process.poll() is None:
             self.process.send_signal(signal.SIGKILL)
             self.process.wait(timeout=30)
+        self._close_stdout()
 
     def terminate(self, timeout_s: float = 30.0) -> None:
-        if self.process is None or self.process.poll() is not None:
+        if self.process is None:
             return
-        self.process.send_signal(signal.SIGTERM)
-        try:
-            self.process.wait(timeout=timeout_s)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
-            self.process.kill()
-            self.process.wait(timeout=timeout_s)
+        if self.process.poll() is None:
+            self.process.send_signal(signal.SIGTERM)
+            try:
+                self.process.wait(timeout=timeout_s)
+            except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+                self.process.kill()
+                self.process.wait(timeout=timeout_s)
+        self._close_stdout()
+
+    def _close_stdout(self) -> None:
+        """Close the child's output pipe once it is reaped."""
+        if self.process.stdout is not None:
+            self.process.stdout.close()
 
     def __enter__(self) -> "ServeProcess":
         return self.start()

@@ -2,7 +2,10 @@
 
 The server speaks a deliberately small slice of HTTP/1.1 over asyncio
 streams (stdlib only, no web framework): request line, headers,
-``Content-Length`` bodies, keep-alive.  Every response body is JSON.
+``Content-Length`` bodies, keep-alive.  Every response body is JSON,
+encoded once by :func:`encode_body`; a body another process already
+encoded (a multi-worker front relaying its worker's answer) travels as
+:class:`Relayed` and is written verbatim.
 
 Status-code contract (mirrors the CLI exit-code contract — see
 ``repro --help``):
@@ -31,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from ..robust import Verdict
 
@@ -86,6 +89,14 @@ class HttpRequest:
         return self.headers.get("connection", "keep-alive").lower() != "close"
 
 
+@dataclass(frozen=True)
+class Relayed:
+    """A JSON response body encoded elsewhere, and the version it reports."""
+
+    raw: bytes
+    tbox_version: Optional[int] = None
+
+
 async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Parse one request off the stream; ``None`` on clean EOF.
 
@@ -135,15 +146,22 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
 
 
+def encode_body(body: Union[dict[str, Any], Relayed]) -> bytes:
+    """A response body's bytes: sorted-key JSON, or a relayed body as is."""
+    if isinstance(body, Relayed):
+        return body.raw
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
 def encode_response(
     status: int,
-    body: dict[str, Any],
+    body: Union[dict[str, Any], Relayed],
     *,
     keep_alive: bool = True,
     extra_headers: Optional[dict[str, str]] = None,
 ) -> bytes:
     """Serialize one JSON response with correct framing headers."""
-    payload = json.dumps(body, sort_keys=True).encode("utf-8")
+    payload = encode_body(body)
     reason = _REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",

@@ -59,8 +59,8 @@ from typing import Awaitable, Callable, Optional, Union
 from ..obs import recorder as _obs
 from ..robust import faults
 from ..store import atomic_write_text
-from .control import WorkerProtocolError, _encode_request, read_response
 from .editlog import EditLog, EditRecord
+from .protocol import MAX_HEADER_BYTES
 
 __all__ = [
     "EpochStore",
@@ -274,6 +274,58 @@ def parse_url(url: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _encode_request(path: str, body: bytes) -> bytes:
+    head = (
+        f"POST {path} HTTP/1.1\r\n"
+        f"Host: peer\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: keep-alive\r\n"
+        f"\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:
+    """Read one HTTP/1.1 response: ``(status, body)``.
+
+    The head is capped at ``MAX_HEADER_BYTES``; the body, framed by its
+    Content-Length, is not.  Raises :class:`ReplicationError` on
+    malformed framing and ``IncompleteReadError`` when the peer closes
+    mid-response.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError as exc:
+        raise ReplicationError("response head too large") from exc
+    if len(head) > MAX_HEADER_BYTES:
+        raise ReplicationError("response head too large")
+    lines = head.decode("latin-1").split("\r\n")
+    parts = lines[0].split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise ReplicationError(f"bad status line: {lines[0]!r}")
+    try:
+        status = int(parts[1])
+    except ValueError as exc:
+        raise ReplicationError(f"bad status code: {parts[1]!r}") from exc
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ReplicationError(f"bad header line: {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError as exc:
+        raise ReplicationError("bad Content-Length") from exc
+    if length < 0:
+        raise ReplicationError(f"unreasonable Content-Length {length}")
+    body = await reader.readexactly(length) if length else b""
+    return status, body
+
+
 async def post_json(
     url: str, path: str, payload: dict, *, timeout_s: float = 5.0
 ) -> tuple[int, dict]:
@@ -281,10 +333,9 @@ async def post_json(
 
     Opens a fresh connection per call: the channel polls at human-scale
     intervals, and a dead peer must fail the *next* poll, not poison a
-    kept-alive socket.  The reply is framed by Content-Length
-    (:func:`repro.serve.control.read_response`) with no cap on the body:
-    a base ships the whole TBox, and a pull ships up to 256 records of
-    axiom texts.  A malformed or truncated reply raises
+    kept-alive socket.  The reply is framed by Content-Length with no
+    cap on the body: a base ships the whole TBox, and a pull ships up to
+    256 records of axiom texts.  A malformed or truncated reply raises
     :class:`ReplicationError`.
     """
     host, port = parse_url(url)
@@ -293,11 +344,13 @@ async def post_json(
         reader, writer = await asyncio.open_connection(host, port)
         try:
             writer.write(
-                _encode_request("POST", path, json.dumps(payload).encode("utf-8"))
+                _encode_request(path, json.dumps(payload).encode("utf-8"))
             )
             await writer.drain()
-            status, _headers, raw = await read_response(reader, max_body=None)
-        except (WorkerProtocolError, asyncio.IncompleteReadError) as exc:
+            status, raw = await _read_response(reader)
+        except ReplicationError as exc:
+            raise ReplicationError(f"{url}{path}: {exc}") from exc
+        except asyncio.IncompleteReadError as exc:
             raise ReplicationError(f"{url}{path}: {exc}") from exc
         finally:
             writer.close()

@@ -74,7 +74,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Optional
+from typing import Any, Awaitable, Callable, Optional, Union
 
 from .. import instdb as _instdb
 from ..core import critique
@@ -89,6 +89,7 @@ from .protocol import (
     BadRequest,
     HttpRequest,
     ProtocolError,
+    Relayed,
     encode_response,
     error_body,
     read_request,
@@ -163,7 +164,55 @@ def _responsive_gil():
 
 
 #: a handler's answer: status, JSON body, extra response headers
-Response = tuple[int, dict[str, Any], Optional[dict[str, str]]]
+Response = tuple[int, Union[dict[str, Any], Relayed], Optional[dict[str, str]]]
+
+#: the listener's one read buffer, shared by its connections
+READ_BUFFER_BYTES = 64 * 1024
+#: a connection's StreamReader limit, as ``asyncio.start_server`` sets it
+STREAM_LIMIT = 64 * 1024
+
+
+class _StreamProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
+    """A stream protocol whose socket reads land in its server's one buffer.
+
+    Being a :class:`asyncio.BufferedProtocol`, it makes the selector
+    transport ``recv_into`` :meth:`get_buffer` instead of allocating a
+    fresh ``bytes`` per read.  Every connection of a server shares the
+    buffer: a server runs on one loop thread, and :meth:`buffer_updated`
+    copies the received bytes into the connection's reader before it
+    returns.
+    """
+
+    def __init__(self, buffer: memoryview, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._read_buffer = buffer
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._read_buffer[:nbytes])
+
+
+def _classify_body(snapshot: Snapshot) -> tuple[int, dict[str, Any]]:
+    """``/v1/classify``'s status and body for one snapshot."""
+    hierarchy = snapshot.hierarchy
+    if hierarchy is None:  # pragma: no cover - retired before release
+        hierarchy = snapshot.reasoner.classify()
+    groups = sorted(sorted(g) for g in hierarchy.groups())
+    body = {
+        "tbox_version": snapshot.version,
+        "groups": groups,
+        "parents": {
+            group[0]: sorted(hierarchy.parents(group[0])) for group in groups
+        },
+        "top_equivalents": sorted(hierarchy.top_equivalents()),
+        "unsatisfiable": sorted(hierarchy.equivalents("⊥") - {"⊥"}),
+    }
+    if hierarchy.incomplete:
+        body["incomplete"] = sorted(map(list, hierarchy.incomplete))
+        return 206, body
+    return 200, body
 
 
 class ReasoningServer:
@@ -289,13 +338,27 @@ class ReasoningServer:
         #: awaited in every publication (:meth:`_publish`); a hook must
         #: not raise — a failed shipment must not fail a durable ack
         self.publish_hooks: list[Callable[..., Awaitable[None]]] = []
+        #: ``/v1/classify``'s (version, status, body) for the newest
+        #: snapshot it answered from: a snapshot's hierarchy never changes
+        self._classified: Optional[tuple[int, int, dict[str, Any]]] = None
 
     # -- lifecycle ------------------------------------------------------- #
 
     async def start(self) -> tuple[str, int]:
-        """Bind and start accepting; returns the actual (host, port)."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
+        """Bind and start accepting; returns the actual (host, port).
+
+        What ``asyncio.start_server`` builds, with :class:`_StreamProtocol`
+        in place of its stream protocol.
+        """
+        loop = asyncio.get_running_loop()
+        buffer = memoryview(bytearray(READ_BUFFER_BYTES))
+
+        def connection() -> _StreamProtocol:
+            reader = asyncio.StreamReader(limit=STREAM_LIMIT, loop=loop)
+            return _StreamProtocol(buffer, reader, self._on_connection, loop=loop)
+
+        self._server = await loop.create_server(
+            connection, self.config.host, self.config.port
         )
         sock = self._server.sockets[0].getsockname()
         self.address = (sock[0], sock[1])
@@ -363,7 +426,10 @@ class ReasoningServer:
                 channel = self._channel
                 if channel is not None and not channel.stopped:
                     # the lag of the version the answer reports, if any
-                    lag = channel.lag_records(body.get("tbox_version"))
+                    lag = channel.lag_records(
+                        body.tbox_version if isinstance(body, Relayed)
+                        else body.get("tbox_version")
+                    )
                     if lag is not None:
                         extra = dict(extra or {})
                         extra["X-Replication-Lag-Records"] = str(lag)
@@ -737,23 +803,11 @@ class ReasoningServer:
             raise
 
     async def _classify(self, snapshot, payload, budget) -> tuple[int, dict[str, Any]]:
-        hierarchy = snapshot.hierarchy
-        if hierarchy is None:  # pragma: no cover - retired before release
-            hierarchy = snapshot.reasoner.classify()
-        body = {
-            "tbox_version": snapshot.version,
-            "groups": sorted(sorted(g) for g in hierarchy.groups()),
-            "parents": {
-                group[0]: sorted(hierarchy.parents(group[0]))
-                for group in sorted(sorted(g) for g in hierarchy.groups())
-            },
-            "top_equivalents": sorted(hierarchy.top_equivalents()),
-            "unsatisfiable": sorted(hierarchy.equivalents("⊥") - {"⊥"}),
-        }
-        if hierarchy.incomplete:
-            body["incomplete"] = sorted(map(list, hierarchy.incomplete))
-            return 206, body
-        return 200, body
+        """The hierarchy's groups and parents, built once per snapshot."""
+        cached = self._classified
+        if cached is None or cached[0] != snapshot.version:
+            cached = self._classified = (snapshot.version, *_classify_body(snapshot))
+        return cached[1], cached[2]
 
     async def _instances(
         self, snapshot, payload: dict[str, Any], budget: Budget

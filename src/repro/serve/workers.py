@@ -3,8 +3,12 @@
 ``python -m repro serve --workers N`` starts one **front process** — it
 owns the listening TCP socket, the edit log, replication, and admission
 — plus N **worker processes** that each hold the pre-classified
-snapshot and answer the reasoning routes over per-worker Unix-domain
-sockets (:mod:`repro.serve.control`).
+snapshot and answer the reasoning routes.  The front holds one framed
+channel per worker over the worker's Unix-domain socket
+(:mod:`repro.serve.control`): every proxied read and every
+``/v1/ctl/*`` request to that worker shares it, answers come back in
+whatever order the worker finishes them, and the front writes a
+worker's JSON body to its client without decoding it.
 
 **Worker creation.** Workers are forked *after* the front has
 classified, so the hierarchy, the interned tables, and the reasoner
@@ -17,7 +21,8 @@ are unsafe across ``fork()`` and the backend's pid guard
 
 **Roles by registration.** Both roles are a :class:`ReasoningServer`
 that registers into its route table and publish hooks instead of
-overriding them: a worker adds its control routes (``/v1/ctl/*``); the
+overriding them: a worker adds its control routes (``/v1/ctl/*``) and
+answers each channel frame through the server's one dispatch; the
 front answers every read route with its proxy, health and metrics with
 pool-wide views, and appends its broadcast to the publish hooks.
 
@@ -61,21 +66,21 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import json
 import os
 import signal
 import sys
 import tempfile
 import time
 import traceback
+import weakref
 from typing import Any, Optional
 
 from ..dl.diff import axiom_diff
 from ..obs import recorder as _obs
 from .admission import WorkerShare, slice_allowance
-from .control import WorkerClient
+from .control import ChannelServer, WorkerClient
 from .editlog import EditRecord
-from .protocol import BadRequest, HttpRequest, error_body
+from .protocol import BadRequest, HttpRequest, Relayed, error_body
 from .server import ReasoningServer, Response, ServeConfig
 from .snapshot import SnapshotManager
 
@@ -107,8 +112,12 @@ class WorkerStartError(Exception):
 
 
 class WorkerServer(ReasoningServer):
-    """One worker process: the full reasoning server over a Unix socket.
+    """One worker process: the full reasoning server behind a channel.
 
+    Serves the front's channel (:class:`repro.serve.control.ChannelServer`)
+    on its Unix socket: each request frame is dispatched as its own task
+    through the route table, and counted in ``serve.requests`` and
+    ``serve.status.<code>`` as the HTTP listener counts a request.
     Answers every data-plane route from its own snapshot and registers
     the control routes the front drives (``/v1/ctl/ping``,
     ``/v1/ctl/swap``, ``/v1/ctl/obs``) as ``open`` routes.  Has no edit
@@ -133,18 +142,32 @@ class WorkerServer(ReasoningServer):
             "/v1/ctl/obs": ("GET", "open", self._ctl_obs),
             "/v1/ctl/swap": ("POST", "open", self._ctl_swap),
         })
+        self._channels: "weakref.WeakSet[ChannelServer]" = weakref.WeakSet()
 
     async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_unix_server(
-            self._on_connection, path=self.socket_path
+        self._server = await asyncio.get_running_loop().create_unix_server(
+            self._open_channel, path=self.socket_path
         )
         self.address = (self.socket_path, 0)
         return self.address
 
     async def stop(self) -> None:
         await super().stop()
+        for channel in list(self._channels):
+            channel.close()
         with contextlib.suppress(FileNotFoundError, OSError):
             os.unlink(self.socket_path)
+
+    def _open_channel(self) -> ChannelServer:
+        channel = ChannelServer(self._answer)
+        self._channels.add(channel)
+        return channel
+
+    async def _answer(self, request: HttpRequest) -> Response:
+        status, body, extra = await self._dispatch(request)
+        _obs.incr("serve.requests")
+        _obs.incr(f"serve.status.{status}")
+        return status, body, extra
 
     async def _ctl_ping(self, request: HttpRequest) -> Response:
         return 200, {
@@ -424,6 +447,11 @@ class WorkerSupervisor:
                 handle.version = int(body.get("version", handle.version))
                 handle.state = "up"
                 _obs.incr("workers.started")
+                if handle.version < self.front.snapshots.version:
+                    # a publication landed while it started (a follower's
+                    # boot-time base), and its broadcast skipped a worker
+                    # not yet up: restart it from the current snapshot
+                    self._force_resync(handle)
                 return
             await asyncio.sleep(0.02)
         raise WorkerStartError(
@@ -645,8 +673,10 @@ class FrontServer(ReasoningServer):
 
         Only reads are proxied, so a retry after a mid-request worker
         death is safe — the client sees one answer from whichever
-        sibling completed it.  The worker computes the request's budget
-        from the same global allowance, so the front's is unused.
+        sibling completed it.  The worker's body is relayed as bytes
+        (:class:`Relayed`), with the ``tbox_version`` its frame carries
+        for a follower's lag header.  The worker computes the request's
+        budget from the same global allowance, so the front's is unused.
         """
         tried: set[int] = set()
         last_error: Optional[BaseException] = None
@@ -655,7 +685,7 @@ class FrontServer(ReasoningServer):
             if handle is None:
                 break
             try:
-                status, headers, payload = await handle.client.request(
+                status, headers, raw = await handle.client.request(
                     request.method, request.path, request.body
                 )
             except Exception as exc:  # noqa: BLE001 - retry a sibling
@@ -665,18 +695,12 @@ class FrontServer(ReasoningServer):
                 continue
             finally:
                 self.supervisor.release_slot(handle)
-            try:
-                body = json.loads(payload) if payload else {}
-            except json.JSONDecodeError:
-                body = {"error": "malformed worker response"}
-                status = 500
-            if not isinstance(body, dict):  # pragma: no cover - own server
-                body = {"value": body}
             extra = None
             if "retry-after" in headers:
                 extra = {"Retry-After": headers["retry-after"]}
+            version = headers.get("tbox-version")
             _obs.incr("workers.proxied")
-            return status, body, extra
+            return status, Relayed(raw, None if version is None else int(version)), extra
         _obs.incr("workers.proxy_failures")
         detail = f": {last_error}" if last_error is not None else ""
         status, body = error_body(503, f"no worker available{detail}")

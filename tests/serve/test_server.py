@@ -11,6 +11,7 @@ encode this PR's acceptance criteria directly:
 """
 
 import asyncio
+import http.client
 import random
 import threading
 import time
@@ -19,6 +20,7 @@ import pytest
 
 from repro.corpora.generators import random_tbox, random_tbox_edit
 from repro.dl import classify, parse_tbox
+from repro.dl.hierarchy import ConceptHierarchy
 from repro.dl.serialize import tbox_to_text
 from repro.obs import Recorder, use_recorder
 from repro.robust import faults
@@ -125,6 +127,59 @@ class TestEndpoints:
         assert counters["serve.admitted"] >= 1
         assert body["serve"]["tbox_version"] == 1
         assert body["serve"]["reasoner_caches"]["hierarchy"] > 0
+
+
+class TestClassifyBody:
+    """``/v1/classify`` builds its body once per snapshot."""
+
+    TBOX = VEHICLES + "auto = car\nwreck [= car & ~car\n"
+
+    def test_body_bytes_are_stable(self):
+        with ServerThread(parse_tbox(self.TBOX)) as live:
+            conn = http.client.HTTPConnection(*live.address)
+            try:
+                conn.request("POST", "/v1/classify", body="{}")
+                response = conn.getresponse()
+                raw = response.read()
+            finally:
+                conn.close()
+        assert response.status == 200
+        assert raw == (
+            b'{"groups": [["auto", "car"], ["big"], ["gasoline"], '
+            b'["motorvehicle"], ["pickup"], ["small"]], "parents": '
+            b'{"auto": ["motorvehicle"], "big": ["\\u22a4"], '
+            b'"gasoline": ["\\u22a4"], "motorvehicle": ["\\u22a4"], '
+            b'"pickup": ["motorvehicle"], "small": ["\\u22a4"]}, '
+            b'"tbox_version": 1, "top_equivalents": [], '
+            b'"unsatisfiable": ["wreck"]}'
+        )
+
+    def test_one_build_per_snapshot(self, monkeypatch):
+        calls = []
+        groups = ConceptHierarchy.groups
+
+        def counted(self):
+            calls.append(self)
+            return groups(self)
+
+        monkeypatch.setattr(ConceptHierarchy, "groups", counted)
+        with ServerThread(parse_tbox(self.TBOX)) as live:
+            first = live.request("POST", "/v1/classify", {})
+            built = len(calls)
+            assert built >= 1
+            second = live.request("POST", "/v1/classify", {})
+            assert len(calls) == built
+            assert second == first
+            status, ack = live.request(
+                "POST", "/v1/tbox", {"tbox": self.TBOX + "van [= motorvehicle\n"}
+            )
+            assert (status, ack["swap_status"]) == (200, "applied")
+            status, body = live.request("POST", "/v1/classify", {})
+        assert len(calls) > built
+        assert status == 200
+        assert body["tbox_version"] == 2
+        assert ["van"] in body["groups"]
+        assert body["parents"]["van"] == ["motorvehicle"]
 
 
 class TestErrorPaths:
