@@ -12,7 +12,7 @@ Usage::
 ``critique`` runs the full three-part analysis and prints the report;
 ``classify`` prints the inferred hierarchy; ``check`` reports coherence
 and unsatisfiable names; ``bench`` runs the instrumented substrate benches
-(B1–B6, B10, B12) and writes one ``BENCH_<id>.json`` snapshot each; ``serve``
+(B1–B6, B10, B12, B14) and writes one ``BENCH_<id>.json`` snapshot each; ``serve``
 starts the long-lived batched reasoning service (:mod:`repro.serve`);
 ``abox`` loads, materializes, and queries a DB-backed instance store
 (:mod:`repro.instdb`) without a server.
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="run the substrate benches (B1-B6, B10, B12) and write "
+        help="run the substrate benches (B1-B6, B10, B12, B14) and write "
         "BENCH_*.json snapshots",
     )
     p_bench.add_argument(

@@ -1,4 +1,4 @@
-"""Instrumented substrate benches (B1–B6, B10, B12), one JSON record each.
+"""Instrumented substrate benches (B1–B6, B10, B12, B14), one JSON record each.
 
 Each bench runs a fixed, seeded workload under a fresh
 :class:`repro.obs.Recorder` and produces one record::
@@ -28,9 +28,11 @@ introduced into a hot path is caught here.  B12 also records wall-clock
 timings under ``params`` (see :class:`BenchSpec.deterministic`); its
 counters are compared on their own.  B10 — one classification path,
 budgeted or not — takes its scale (``tiny`` / ``full``) from
-``REPRO_B10_SCALE``, and B12 — the DB-backed instance store at 10⁵–10⁶
-individuals — from ``REPRO_B12_SCALE``, so CI smoke runs stay cheap
-while the committed records measure the full workloads.
+``REPRO_B10_SCALE``, B12 — the DB-backed instance store at 10⁵–10⁶
+individuals — from ``REPRO_B12_SCALE``, and B14 — what a TBox swap
+costs, stage by stage, at 80–3,200 names — from ``REPRO_B14_SCALE``, so
+CI smoke runs stay cheap while the committed records measure the full
+workloads.
 
 Serving is measured by one benchmark, ``perfbench/`` (declared in
 ``BENCHMARK.json``): real ``repro serve`` processes, every answer
@@ -48,9 +50,10 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..obs import Recorder, use_recorder
 from ..robust import faults as _faults
@@ -748,6 +751,126 @@ def _b12_instance_store() -> dict[str, Any]:
     }
 
 
+#: B14 TBox sizes: ``k`` builds ``random_tbox(7, n_defined=3k,
+#: n_primitive=k)``, about ``4k`` names (the corpus perfbench serves)
+B14_SCALES: dict[str, tuple[int, ...]] = {
+    "tiny": (20, 100),
+    "full": (100, 200, 400, 800),
+}
+
+#: best-of runs per B14 size, each on a fresh manager and line map
+B14_REPEATS = 3
+
+
+@contextmanager
+def _counted_axiom_parses() -> Iterator[list[int]]:
+    """Count the lines :func:`repro.dl.parse_tbox` hands to the parser."""
+    from ..dl import parser
+
+    calls = [0]
+    parse_axiom = parser.parse_axiom
+
+    def counted(text: str):
+        calls[0] += 1
+        return parse_axiom(text)
+
+    parser.parse_axiom = counted
+    try:
+        yield calls
+    finally:
+        parser.parse_axiom = parse_axiom
+
+
+def _b14_swap_cost() -> dict[str, Any]:
+    """What a TBox swap costs, by stage, against what its edit changes.
+
+    For each size, a cold parse-and-classify (a new
+    :class:`repro.serve.SnapshotManager` from the text), a re-post of
+    the same text, and a one-axiom edit (the first
+    :func:`repro.corpora.generators.random_tbox_edit` of seed 0), each
+    swapped through the manager.  Parsing goes through one line map as
+    the server's does, so a re-post parses no line and the edit at most
+    one.  Histograms ``bench.b14.n<names>.<swap>.<stage>_ms``: parse,
+    change impact, classify (normalize, saturate, read off), poset and
+    total, over :data:`B14_REPEATS` runs; counters
+    ``bench.b14.n<names>.<swap>_lines_parsed`` from one run (every run
+    parses the same lines).  The edit's served hierarchy must equal a
+    cold classification of the edited text.
+
+    Scale via ``REPRO_B14_SCALE`` (``tiny``/``full``).
+    """
+    import os
+    import random
+
+    from ..corpora.generators import random_tbox, random_tbox_edit
+    from ..dl import classify, parse_tbox
+    from ..dl.serialize import tbox_to_text
+    from ..obs import NULL, Recorder, get_recorder
+    from ..serve.snapshot import SnapshotManager
+
+    scale = os.environ.get("REPRO_B14_SCALE", "tiny")
+    if scale not in B14_SCALES:
+        raise ValueError(
+            f"REPRO_B14_SCALE={scale!r}; expected one of {sorted(B14_SCALES)}"
+        )
+    recorder = get_recorder()
+    stages = {
+        "impact": "snapshot.change_impact",
+        "classify": "hierarchy.classify.saturation",
+        "poset": "hierarchy.poset",
+    }
+    names_by_k: dict[str, int] = {}
+    for k in B14_SCALES[scale]:
+        text = tbox_to_text(
+            random_tbox(7, n_defined=3 * k, n_primitive=k, n_roles=3)
+        )
+        base = parse_tbox(text)
+        names = names_by_k[str(k)] = len(base.atomic_names())
+        prefix = f"bench.b14.n{names}"
+        edit = tbox_to_text(random_tbox_edit(random.Random(0), base))
+        parsed: dict[str, set[int]] = {}
+        for _ in range(B14_REPEATS):
+            lines: dict = {}
+            manager = None
+            for swap, posted in (("cold", text), ("repost", text), ("edit", edit)):
+                run_rec = Recorder()
+                with use_recorder(run_rec), _counted_axiom_parses() as calls:
+                    t0 = time.perf_counter()
+                    known, lines = lines, {}
+                    tbox = parse_tbox(posted, known, lines=lines)
+                    t1 = time.perf_counter()
+                    if manager is None:
+                        manager = SnapshotManager(tbox)
+                    else:
+                        manager.swap(manager.prepare(tbox))
+                    t2 = time.perf_counter()
+                recorder.merge(run_rec.state())
+                timers = run_rec.snapshot()["timers"]
+                recorder.observe(f"{prefix}.{swap}.parse_ms", (t1 - t0) * 1e3)
+                recorder.observe(f"{prefix}.{swap}.total_ms", (t2 - t0) * 1e3)
+                for stage, timer in stages.items():
+                    seconds = timers.get(timer, {}).get("total", 0.0)
+                    recorder.observe(f"{prefix}.{swap}.{stage}_ms", seconds * 1e3)
+                parsed.setdefault(swap, set()).add(calls[0])
+                mode = manager.current.swap_mode
+                assert mode == ("reused" if swap == "repost" else "full"), mode
+        with use_recorder(NULL):  # the oracle's work stays out of the record
+            oracle = classify(parse_tbox(edit))
+        served = manager.current.hierarchy
+        assert served.poset == oracle.poset
+        assert served.group_of == oracle.group_of
+        for swap, counts in parsed.items():
+            (count,) = counts  # every run parses the same lines
+            recorder.incr(f"{prefix}.{swap}_lines_parsed", count)
+    return {
+        "scale": scale,
+        "tbox": {"seed": 7, "n_defined": "3k", "n_primitive": "k", "n_roles": 3},
+        "names_by_k": names_by_k,
+        "edit": {"generator": "random_tbox_edit", "seed": 0},
+        "repeats": B14_REPEATS,
+    }
+
+
 BENCHES: dict[str, BenchSpec] = {
     "B1": BenchSpec(
         "B1", "tableau reasoning + TBox classification (chain, tree, random)", _b1_tableau
@@ -776,6 +899,11 @@ BENCHES: dict[str, BenchSpec] = {
         # data — asserted in the harness tests); params carry wall-clock
         # load/materialize timings, which are not
         deterministic=False,
+    ),
+    "B14": BenchSpec(
+        "B14",
+        "swap cost by stage: cold, re-posted and one-axiom swaps at 80-3,200 names",
+        _b14_swap_cost,
     ),
 }
 

@@ -126,23 +126,33 @@ def dependents_of(names: Iterable[str], *tboxes: TBox) -> frozenset[str]:
     core of an edit's change-impact set
     (:func:`repro.dl.diff.change_impact`) — a name outside it cannot see
     an edited definition through any chain of definitional references.
+    The reverse edges come from one pass over the GCIs, which reads an
+    axiom object the TBoxes share once; no graph is built.
     """
-    predecessors: dict[str, set[str]] = {}
+    users: dict[str, set[str]] = {}  # name -> the names defined with it
     vocabulary: set[str] = set()
+    read: set[int] = set()  # an axiom object two TBoxes share is read once
     for tbox in tboxes:
-        graph = tbox.dependency_graph()
-        for node in graph.nodes():
-            vocabulary.add(node)
-            for pred in graph.predecessors(node):
-                predecessors.setdefault(node, set()).add(pred)
+        fresh = [axiom for axiom in tbox.axioms if id(axiom) not in read]
+        read.update(map(id, fresh))
+        for gci in TBox(fresh).gcis():
+            used = gci.rhs.atomic_names()
+            vocabulary.update(used)
+            if not isinstance(gci.lhs, Atomic):
+                vocabulary.update(gci.lhs.atomic_names())
+                continue
+            defined = gci.lhs.name
+            vocabulary.add(defined)
+            for name in used:
+                if name != defined:
+                    users.setdefault(name, set()).add(defined)
     seen = {name for name in names if name in vocabulary}
     stack = list(seen)
     while stack:
-        node = stack.pop()
-        for pred in predecessors.get(node, ()):
-            if pred not in seen:
-                seen.add(pred)
-                stack.append(pred)
+        for user in users.get(stack.pop(), ()):
+            if user not in seen:
+                seen.add(user)
+                stack.append(user)
     return frozenset(seen)
 
 

@@ -56,13 +56,22 @@ class AxiomDelta:
         return "; ".join(parts) if parts else "no syntactic change"
 
 
+_NO_CHANGE = AxiomDelta(
+    frozenset(), frozenset(), frozenset(), frozenset(), frozenset(), False
+)
+
+
 def axiom_diff(before: TBox, after: TBox) -> AxiomDelta:
     """The syntactic axiom-level delta from ``before`` to ``after``.
 
     A TBox diffed against itself (or any axiom-identical copy) yields an
     empty delta.  Duplicated axioms are compared as a set: adding a
-    second copy of an existing axiom is no change.
+    second copy of an existing axiom is no change.  Equal axiom lists
+    return at once: when their axioms are the same objects, as a
+    re-parse through a line map leaves them, that is pointer time.
     """
+    if before.axioms == after.axioms:
+        return _NO_CHANGE
     old_axioms = frozenset(before.axioms)
     new_axioms = frozenset(after.axioms)
     added = new_axioms - old_axioms
@@ -83,16 +92,26 @@ def axiom_diff(before: TBox, after: TBox) -> AxiomDelta:
                 # the reverse half (rhs ⊑ A) is a general GCI
                 general_changed = True
 
-    names_before = before.atomic_names()
-    names_after = after.atomic_names()
+    # the vocabularies differ only by names no kept axiom mentions, so
+    # one pass over the kept axioms replaces one over each TBox
+    kept, names_in, names_out = (
+        _names(axioms) for axioms in (old_axioms & new_axioms, added, removed)
+    )
     return AxiomDelta(
         added=added,
         removed=removed,
-        names_added=frozenset(names_after - names_before),
-        names_removed=frozenset(names_before - names_after),
+        names_added=frozenset(names_in - kept - names_out),
+        names_removed=frozenset(names_out - kept - names_in),
         changed_names=frozenset(changed),
         general_changed=general_changed,
     )
+
+
+def _names(axioms: frozenset[Axiom]) -> set[str]:
+    out: set[str] = set()
+    for axiom in axioms:
+        out.update(axiom.lhs.atomic_names(), axiom.rhs.atomic_names())
+    return out
 
 
 def change_impact(before: TBox, after: TBox) -> Optional[frozenset[str]]:

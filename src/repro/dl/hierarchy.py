@@ -113,18 +113,15 @@ class ConceptHierarchy:
 
         with _obs.trace(f"hierarchy.classify.{algorithm}"):
             if algorithm == "brute":
-                groups, edges, top_members = self._classify_brute(names)
+                groups, up, top_members = self._classify_brute(names)
             else:
-                groups, edges, top_members = self._classify_saturation(names)
+                groups, up, top_members = self._classify_saturation(names)
         self._reasoner = None
 
-        # shared finalization: lexicographic-minimum representatives,
-        # group_of for every name (⊤-equivalents to ⊤, unsatisfiable to ⊥),
-        # and the poset over representatives
-        relabel = {TOP_NAME: TOP_NAME, BOTTOM_NAME: BOTTOM_NAME}
-        for node, group in groups.items():
-            relabel[node] = min(group)
-        self._groups = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+        # shared finalization: group_of for every name (⊤-equivalents to
+        # ⊤, unsatisfiable to ⊥), and the poset over the representatives
+        # (each group's least name) from their closed up-sets
+        self._groups = sorted(groups.values())
         self._top_members = sorted(top_members)
         self.group_of: dict[str, str] = {}
         for group in self._groups:
@@ -138,15 +135,16 @@ class ConceptHierarchy:
         self.group_of[TOP_NAME] = TOP_NAME
         self.group_of[BOTTOM_NAME] = BOTTOM_NAME
 
-        representatives = [g[0] for g in self._groups]
-        elements = [BOTTOM_NAME, *representatives, TOP_NAME]
-        pairs = [(relabel[low], relabel[high]) for low, high in edges]
-        # ⊤ above everything, ⊥ below everything (redundant pairs are
-        # harmless: the poset closes transitively)
-        pairs += [(BOTTOM_NAME, rep) for rep in representatives]
-        pairs += [(rep, TOP_NAME) for rep in representatives]
-        pairs.append((BOTTOM_NAME, TOP_NAME))
-        self.poset = Poset(elements, pairs)
+        with _obs.trace("hierarchy.poset"):
+            representatives = [g[0] for g in self._groups]
+            # ⊥ below everything, ⊤ above everything
+            order = {
+                BOTTOM_NAME: frozenset((BOTTOM_NAME, *representatives, TOP_NAME))
+            }
+            for rep in representatives:
+                order[rep] = up[rep]
+            order[TOP_NAME] = frozenset((TOP_NAME,))
+            self.poset = Poset.from_up_sets(order)
         # a starved question the closed hierarchy answers anyway (by a
         # chain of proved edges) is not open
         self.incomplete = {
@@ -192,7 +190,7 @@ class ConceptHierarchy:
 
     def _classify_saturation(
         self, names: list[str]
-    ) -> tuple[dict[str, list[str]], list[tuple[str, str]], list[str]]:
+    ) -> tuple[dict[str, list[str]], dict[str, frozenset[str]], list[str]]:
         """Read the hierarchy off the saturation, completed by models.
 
         A complete saturation is sound *and complete* — ``a ⊑ b`` iff
@@ -258,7 +256,7 @@ class ConceptHierarchy:
 
     def _read_off(
         self, sat: "Saturation", subsumers: dict[str, int], top: int
-    ) -> tuple[dict[str, list[str]], list[tuple[str, str]], list[str]]:
+    ) -> tuple[dict[str, list[str]], dict[str, frozenset[str]], list[str]]:
         """The hierarchy of transitively closed named-subsumer masks.
 
         ``subsumers`` maps every name, in sorted order, to the saturation
@@ -266,6 +264,11 @@ class ConceptHierarchy:
         bit when it is unsatisfiable; ``top`` holds ⊤'s.  Equivalence
         classes are groups with identical masks, and a name whose bit is
         in ``top`` is equivalent to ⊤.
+
+        Like :meth:`_classify_brute`, returns the groups by their least
+        name, each group's closed up-set of least names (⊤ included)
+        and the ⊤-equivalent names.  The masks are closed, so the
+        up-sets are.
         """
         atoms = sat.atoms
         bottom_bit = 1 << BOTTOM_ID
@@ -287,63 +290,67 @@ class ConceptHierarchy:
         for rep, members in groups.items():
             for member in members:
                 rep_of[atoms.get(member)] = rep
-        edges: list[tuple[str, str]] = []
+        up: dict[str, frozenset[str]] = {}
         skip = (1 << TOP_ID) | bottom_bit
         for mask, members in groups_by_mask.items():
-            rep = members[0]
+            above = {members[0], TOP_NAME}
             for atom in BitSet.bits(mask & ~skip):
                 other = rep_of.get(atom)
-                if other is not None and other != rep:
-                    edges.append((rep, other))
-        return groups, edges, top_members
+                if other is not None:
+                    above.add(other)
+            up[members[0]] = frozenset(above)
+        return groups, up, top_members
 
     def _classify_brute(
         self, names: list[str]
-    ) -> tuple[dict[str, list[str]], list[tuple[str, str]], list[str]]:
-        """The full pairwise subsumption matrix: every pair is a test."""
+    ) -> tuple[dict[str, list[str]], dict[str, frozenset[str]], list[str]]:
+        """The full pairwise subsumption matrix: every pair is a test.
+
+        The matrix is transitively closed unless a budget cut some of
+        its tests; then it is closed here, as :func:`_close_masks`
+        closes the saturation's masks, so that mutual subsumers group.
+        """
         for name in names:
             self._satisfiable[name] = self._check_satisfiable(name)
 
         live = [n for n in names if self._satisfiable[n]]
-        subsumes: dict[tuple[str, str], bool] = {}
+        # above[b]: the live names that subsume b, b itself included
+        above: dict[str, set[str]] = {name: {name} for name in live}
         for a in live:
             for b in live:
-                if a != b:
-                    subsumes[(a, b)] = self._tableau_subsumes(Atomic(a), Atomic(b))
+                if a != b and self._tableau_subsumes(Atomic(a), Atomic(b)):
+                    above[b].add(a)
+        if self.incomplete:
+            for k in live:  # Warshall
+                for name in live:
+                    if k in above[name]:
+                        above[name] |= above[k]
 
         # group equivalent names
         grouped: list[list[str]] = []
         for name in live:
             for group in grouped:
                 rep = group[0]
-                if subsumes.get((rep, name)) and subsumes.get((name, rep)):
+                if rep in above[name] and name in above[rep]:
                     group.append(name)
                     break
             else:
                 grouped.append([name])
         groups = {group[0]: group for group in grouped}
-        representatives = list(groups)
-        edges = [
-            (a, b)
-            for a in representatives
-            for b in representatives
-            if a != b and subsumes[(b, a)]  # b subsumes a: a ≤ b
-        ]
 
         # a representative that subsumes every other one may be ⊤ itself;
         # one extra tableau question settles it
         top_members: list[str] = []
-        maxima = [
-            r
-            for r in representatives
-            if all(subsumes[(r, x)] for x in representatives if x != r)
-        ]
+        maxima = [r for r in groups if all(r in above[x] for x in groups)]
         if maxima:
             (candidate,) = maxima[:1]
             if self._tableau_subsumes(Atomic(candidate), TOP):
                 top_members = groups.pop(candidate)
-                edges = [(a, b) for a, b in edges if candidate not in (a, b)]
-        return groups, edges, top_members
+        up = {
+            rep: frozenset((*(x for x in above[rep] if x in groups), TOP_NAME))
+            for rep in groups
+        }
+        return groups, up, top_members
 
     # ------------------------------------------------------------------ #
     # queries

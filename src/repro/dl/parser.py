@@ -25,7 +25,7 @@ Grammar (one axiom per line; ``#`` starts a comment)::
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Mapping
 
 from .syntax import (
     BOTTOM,
@@ -41,7 +41,7 @@ from .syntax import (
     only,
     some,
 )
-from .tbox import Equivalence, Subsumption, TBox
+from .tbox import Axiom, Equivalence, Subsumption, TBox
 
 
 class ParseError(DLSyntaxError):
@@ -199,15 +199,33 @@ def parse_axiom(text: str) -> Subsumption | Equivalence:
     return axiom
 
 
-def parse_tbox(text: str) -> TBox:
-    """Parse a TBox: one axiom per line, ``#`` comments, blank lines ignored."""
+def parse_tbox(
+    text: str,
+    known: Mapping[str, Axiom] | None = None,
+    *,
+    lines: dict[str, Axiom] | None = None,
+) -> TBox:
+    """Parse a TBox: one axiom per line, ``#`` comments, blank lines ignored.
+
+    An axiom line is the line with its comment cut and its whitespace
+    stripped.  One found in ``known`` is not parsed again: its axiom is
+    taken from there, so an edit costs the lines it changes.  ``lines``,
+    when given, receives every axiom line of ``text`` with its axiom,
+    ready to be the ``known`` of the next parse.
+    """
+    known = known or {}
     axioms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            axioms.append(parse_axiom(line))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+        axiom = known.get(line)
+        if axiom is None:
+            try:
+                axiom = parse_axiom(line)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+        if lines is not None:
+            lines[line] = axiom
+        axioms.append(axiom)
     return TBox(axioms)

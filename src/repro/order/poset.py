@@ -26,7 +26,8 @@ class Poset:
 
     The order is the reflexive–transitive closure of the supplied pairs;
     antisymmetry is validated at construction (a cycle among distinct
-    elements is rejected).
+    elements is rejected).  :meth:`from_up_sets` builds one from an
+    order that is closed already.
 
     >>> p = Poset(["car", "motorvehicle", "vehicle"],
     ...           [("car", "motorvehicle"), ("motorvehicle", "vehicle")])
@@ -41,10 +42,10 @@ class Poset:
         elements: Iterable[Hashable],
         pairs: Iterable[tuple[Hashable, Hashable]] = (),
     ) -> None:
-        self._elements = list(dict.fromkeys(elements))  # preserve order, dedupe
-        element_set = set(self._elements)
+        elements = list(dict.fromkeys(elements))  # preserve order, dedupe
+        element_set = set(elements)
         graph = DiGraph()
-        for e in self._elements:
+        for e in elements:
             graph.add_node(e)
         for low, high in pairs:
             if low not in element_set or high not in element_set:
@@ -53,17 +54,39 @@ class Poset:
                 graph.add_edge(low, high)
         if not is_acyclic(graph):
             raise OrderError("order pairs contain a cycle; antisymmetry violated")
-        self._graph = graph
         # transitive closure: up[e] = {x : e <= x}
-        self._up: dict[Hashable, frozenset] = {}
+        up: dict[Hashable, frozenset] = {}
         for e in reversed(topological_sort(graph)):
             above: set = {e}
             for succ in graph.successors(e):
-                above |= self._up[succ]
-            self._up[e] = frozenset(above)
-        self._down: dict[Hashable, set] = {e: set() for e in self._elements}
-        for e in self._elements:
-            for x in self._up[e]:
+                above |= up[succ]
+            up[e] = frozenset(above)
+        self._set_order(elements, up)
+
+    @classmethod
+    def from_up_sets(cls, up: dict[Hashable, frozenset]) -> "Poset":
+        """The poset in which each element ``e`` lies below exactly ``up[e]``.
+
+        For a caller that holds the order's closure already, such as a
+        classified concept hierarchy: the up-sets are taken as given,
+        with no graph built and nothing checked.  Each must hold its own
+        element, name only keys of ``up`` and be transitively closed
+        (``x`` in ``up[e]`` implies ``up[x] <= up[e]``), and no two
+        distinct elements may hold each other.  The elements keep
+        ``up``'s key order.
+        """
+        poset = cls.__new__(cls)
+        poset._set_order(list(up), up)
+        return poset
+
+    def _set_order(
+        self, elements: list[Hashable], up: dict[Hashable, frozenset]
+    ) -> None:
+        self._elements = elements
+        self._up = up
+        self._down: dict[Hashable, set] = {e: set() for e in elements}
+        for e in elements:
+            for x in up[e]:
                 self._down[x].add(e)
         # element -> (elements covering it, elements it covers)
         self._covers: Optional[dict[Hashable, tuple[frozenset, frozenset]]] = None

@@ -205,7 +205,10 @@ def _apply(tbox: TBox, record: EditRecord) -> TBox:
         added = [parse_axiom(text) for text in record.added]
     except ParseError as exc:  # pragma: no cover - records are self-written
         raise EditLogError(f"record v{record.version}: bad axiom: {exc}") from exc
-    axioms = [ax for ax in tbox.axioms if ax not in removed]
+    if removed:
+        axioms = [ax for ax in tbox.axioms if ax not in removed]
+    else:  # a membership test hashes the whole axiom
+        axioms = list(tbox.axioms)
     axioms.extend(added)
     return TBox(axioms)
 

@@ -78,7 +78,7 @@ from typing import Any, Awaitable, Callable, Optional, Union
 
 from .. import instdb as _instdb
 from ..core import critique
-from ..dl import ParseError, TBox, parse_concept, parse_tbox
+from ..dl import Axiom, ParseError, TBox, parse_concept, parse_tbox
 from ..dl.nnf import nnf_cache_size
 from ..obs import recorder as _obs
 from ..robust import Budget
@@ -305,6 +305,9 @@ class ReasoningServer:
         self._publishing = False
         self._publisher_task: Optional[asyncio.Task] = None
         self._append_times: dict[int, float] = {}
+        #: the axiom lines of the last text ``/v1/tbox`` parsed: a posted
+        #: line found here is not parsed again
+        self._axiom_lines: dict[str, Axiom] = {}
         # -- instance store (the /v1/instances backend) ---------------- #
         self.instdb = _instdb.open_backend(
             self.config.abox_backend, self.config.abox_db
@@ -977,7 +980,11 @@ class ReasoningServer:
         publisher and the response says ``deferred`` (first in the
         queue) or ``coalesced`` (it superseded the queued edit).
         """
-        tbox = parse_tbox(str(require(request.json(), "tbox")))
+        lines: dict[str, Axiom] = {}
+        tbox = parse_tbox(
+            str(require(request.json(), "tbox")), self._axiom_lines, lines=lines
+        )
+        self._axiom_lines = lines
         record: Optional[EditRecord] = None
         async with self._swap_lock:
             if self.editlog is not None:

@@ -106,7 +106,10 @@ class Snapshot:
         kept = None
         if predecessor is not None:
             kept = predecessor.hierarchy
-            self.reclassify_affected = change_impact(predecessor.tbox, self.tbox)
+            with _obs.trace("snapshot.change_impact"):
+                self.reclassify_affected = change_impact(
+                    predecessor.tbox, self.tbox
+                )
             if self.reclassify_affected is not None:
                 self.reasoner.adopt_caches(
                     predecessor.reasoner, invalid=self.reclassify_affected

@@ -1,7 +1,7 @@
 """Tests for the JSON bench harness: schema, determinism, coverage.
 
 ``python -m repro bench`` writes a valid ``BENCH_<id>.json`` for every
-substrate bench (B1–B6, B10, B12) whose counters are non-zero for at
+substrate bench (B1–B6, B10, B12, B14) whose counters are non-zero for at
 least the tableau, hierarchy, and store subsystems, and two runs over
 the seeded inputs produce identical counter values.
 """
@@ -25,6 +25,7 @@ ALL_IDS = sorted(BENCHES)
 # keep the scaled workloads at test scale regardless of the caller's shell
 os.environ.setdefault("REPRO_B10_SCALE", "tiny")
 os.environ.setdefault("REPRO_B12_SCALE", "tiny")
+os.environ.setdefault("REPRO_B14_SCALE", "tiny")
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,50 @@ class TestCounterCoverage:
             params["bytes"]["sqlite_big_file"]
             < params["bytes"]["memory_estimated_at_big"]
         )
+
+    def test_b14_swap_costs_what_the_edit_changes(self, suite_records):
+        record = suite_records["B14"]
+        counters = record["counters"]
+        params = record["params"]
+        assert params["scale"] == "tiny"
+        sizes = sorted(params["names_by_k"].values())
+        assert sizes == [80, 400]
+        histograms = record["histograms"]
+        for names in sizes:
+            prefix = f"bench.b14.n{names}"
+            # a re-post parses no line, a one-axiom edit at most one
+            assert counters[f"{prefix}.repost_lines_parsed"] == 0
+            assert counters[f"{prefix}.edit_lines_parsed"] <= 1
+            assert counters[f"{prefix}.cold_lines_parsed"] > 0
+            for swap in ("cold", "repost", "edit"):
+                for stage in ("parse", "impact", "classify", "poset", "total"):
+                    cell = histograms[f"{prefix}.{swap}.{stage}_ms"]
+                    assert cell["count"] == params["repeats"]
+            # a re-post classifies nothing; an edit classifies once
+            assert histograms[f"{prefix}.repost.classify_ms"]["max"] == 0
+            assert histograms[f"{prefix}.edit.classify_ms"]["min"] > 0
+        assert counters["serve.tbox_swaps"] == 2 * len(sizes) * params["repeats"]
+
+    def test_committed_b14_record_meets_the_swap_targets(self):
+        """The checked-in BENCH_B14.json is the full-scale run: at 3,200
+        names a re-post parses and prepares nothing it has seen, and a
+        one-axiom edit costs less than a cold parse-and-classify."""
+        path = Path(__file__).resolve().parents[2] / "BENCH_B14.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert validate_record(record) == []
+        params = record["params"]
+        assert params["scale"] == "full"
+        sizes = sorted(params["names_by_k"].values())
+        assert len(sizes) == 4 and sizes[-1] >= 3_000
+        counters = record["counters"]
+        histograms = record["histograms"]
+        for names in sizes:
+            prefix = f"bench.b14.n{names}"
+            assert counters[f"{prefix}.repost_lines_parsed"] == 0
+            assert counters[f"{prefix}.edit_lines_parsed"] <= 1
+            cold = histograms[f"{prefix}.cold.total_ms"]["min"]
+            assert histograms[f"{prefix}.edit.total_ms"]["min"] < cold
+            assert histograms[f"{prefix}.repost.total_ms"]["min"] < cold / 20
 
     def test_b6_has_robust_counters(self, suite_records):
         counters = suite_records["B6"]["counters"]

@@ -111,13 +111,14 @@ class TestBenchCommand:
     def test_bench_writes_all_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_B10_SCALE", "tiny")
         monkeypatch.setenv("REPRO_B12_SCALE", "tiny")
+        monkeypatch.setenv("REPRO_B14_SCALE", "tiny")
         assert main(["bench", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         written = sorted(p.name for p in tmp_path.glob("BENCH_*.json"))
         # B8 retired with incremental reclassification; the serving
         # benches B7, B9, B11 and B13 with perfbench/ taking their place
         assert written == sorted(
-            f"BENCH_B{i}.json" for i in (1, 2, 3, 4, 5, 6, 10, 12)
+            f"BENCH_B{i}.json" for i in (1, 2, 3, 4, 5, 6, 10, 12, 14)
         )
         assert "non-zero counters" in out
 

@@ -184,3 +184,78 @@ def _concepts(draw, depth=3):
 @given(_concepts())
 def test_parse_inverts_to_text(concept):
     assert parse_concept(_to_text(concept)) == concept
+
+
+# -- the line map ----------------------------------------------------------- #
+
+_AXIOM_LINES = [
+    "A [= B",
+    "A [= some r.B",
+    "B = C & D",
+    "C [= >= 2 s.A",
+    "D [= ~A | B",
+    "A & B [= C",
+    "car [= motorvehicle & some size.small",
+]
+_BAD_LINES = ["A [= &", "[= B", "A B", "some r.", "A [= B ("]
+
+
+@st.composite
+def _tbox_texts(draw, bad=True):
+    """TBox text with comments, blank lines, duplicates and spacing variants."""
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.integers(min_value=0, max_value=9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == 1:
+            lines.append("# " + draw(st.sampled_from(_AXIOM_LINES)))
+        elif kind == 2 and bad:
+            lines.append(draw(st.sampled_from(_BAD_LINES)))
+        else:
+            line = draw(st.sampled_from(_AXIOM_LINES))
+            if draw(st.booleans()):
+                line = line.replace(" ", "  ")
+            pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+            comment = draw(st.sampled_from(["", " # note", "#x", "# A [= B"]))
+            lines.append(pad + line + pad + comment)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tbox_texts(), _tbox_texts(bad=False))
+def test_line_map_parse_equals_plain_parse(text, other):
+    known: dict = {}
+    parse_tbox(other, lines=known)
+    try:
+        expected = parse_tbox(text)
+    except ParseError as plain:
+        with pytest.raises(ParseError) as mapped:
+            parse_tbox(text, known)
+        assert str(mapped.value) == str(plain)  # the same line number
+        return
+    lines: dict = {}
+    parsed = parse_tbox(text, known, lines=lines)
+    assert parsed.axioms == expected.axioms  # duplicates and order included
+    axiom_lines = {raw.split("#", 1)[0].strip() for raw in text.splitlines()}
+    assert set(lines) == axiom_lines - {""}
+    for line, axiom in lines.items():
+        if line in known:
+            assert axiom is known[line]  # taken, not parsed again
+        assert axiom == parse_axiom(line)
+
+
+def test_line_map_parses_only_unseen_lines(monkeypatch):
+    from repro.dl import parser
+
+    calls = []
+    monkeypatch.setattr(
+        parser, "parse_axiom", lambda line: calls.append(line) or parse_axiom(line)
+    )
+    known: dict = {}
+    parse_tbox("A [= B\nB [= C  # told\n", lines=known)
+    assert calls == ["A [= B", "B [= C"]
+    calls.clear()
+    tbox = parse_tbox("  A [= B\n\nB [= C\nC [= D\nC [= D\n", known)
+    assert calls == ["C [= D", "C [= D"]
+    assert len(tbox) == 4

@@ -422,6 +422,50 @@ class TestHotSwap:
         assert recorder.counters["serve.snapshots_released"] == 1
 
 
+class TestLineMap:
+    """``/v1/tbox`` parses only the posted lines it has not parsed before."""
+
+    def test_repost_and_edit_parse_only_unseen_lines(self, server, monkeypatch):
+        from repro.dl import parse_axiom, parser
+
+        parsed = []
+        monkeypatch.setattr(
+            parser,
+            "parse_axiom",
+            lambda line: parsed.append(line) or parse_axiom(line),
+        )
+
+        def post(text: str) -> list[str]:
+            parsed.clear()
+            status, body = server.request("POST", "/v1/tbox", {"tbox": text})
+            assert status == 200, body
+            return list(parsed)
+
+        # the map starts empty: the first post parses every line
+        assert len(post(VEHICLES)) == 3
+        # a re-post of the served TBox parses no line
+        assert post(VEHICLES) == []
+        assert post("# a comment\n" + VEHICLES.replace("\n", "  \n")) == []
+        # a one-line edit parses that line alone
+        assert post(VEHICLES + "van [= motorvehicle\n") == ["van [= motorvehicle"]
+        status, body = server.request(
+            "POST", "/v1/subsumes", {"general": "motorvehicle", "specific": "van"}
+        )
+        assert (status, body["answer"]) == (200, True)
+        # the map holds the last posted text's lines, and no others
+        other = "car [= toy\ntoy [= thing\n"
+        assert post(other) == ["car [= toy", "toy [= thing"]
+        assert set(server.server._axiom_lines) == {"car [= toy", "toy [= thing"}
+        assert post(VEHICLES) == [line.strip() for line in VEHICLES.strip().splitlines()]
+
+    def test_unparseable_post_keeps_the_map(self, server):
+        server.request("POST", "/v1/tbox", {"tbox": VEHICLES})
+        lines = dict(server.server._axiom_lines)
+        status, _ = server.request("POST", "/v1/tbox", {"tbox": VEHICLES + "van [= ("})
+        assert status == 400
+        assert server.server._axiom_lines == lines
+
+
 class TestEditPublicationContract:
     """Swap-frequency degradation: explicit statuses, query semantics kept.
 
